@@ -11,8 +11,10 @@ Exit codes: 0 success, 2 usage error, 3 config error, 4 numeric failure.
 from __future__ import annotations
 
 import argparse
+import functools
 import hashlib
 import json
+import math
 import sys
 import time
 
@@ -97,8 +99,8 @@ def _write_output(args, text: str, manifest: dict):
         with open(args.out, "w", encoding="utf-8", newline="") as fh:
             fh.write(text)
         with open(args.out + ".manifest.json", "w", encoding="utf-8") as fh:
-            json.dump(manifest, fh, indent=2, sort_keys=True)
-            fh.write("\n")
+            # one write; json.dump would write every token separately
+            fh.write(json.dumps(manifest, indent=2, sort_keys=True) + "\n")
     else:
         sys.stdout.write(text)
         json.dump(manifest, sys.stderr, indent=2, sort_keys=True)
@@ -121,24 +123,27 @@ def _manifest(args, config_text: str, started: float) -> dict:
 
 
 def _csv(header: list[str], rows) -> str:
+    """Rows as CSV: strings verbatim, numbers %.12e, one template per table."""
+    rows = list(rows)
     lines = [",".join(header)]
-    for row in rows:
-        lines.append(",".join(
-            x if isinstance(x, str) else f"{x:.12e}" for x in row
-        ))
+    if rows:
+        template = ",".join(
+            "%s" if isinstance(x, str) else "%.12e" for x in rows[0])
+        lines += [template % row for row in rows]
     return "\n".join(lines) + "\n"
 
 
 def _grid(spec: str) -> np.ndarray:
-    """Parse 'start:stop:n' into a linspace."""
+    """Parse 'start:stop:n' into a linspace of finite times >= 0."""
     try:
         start, stop, n = spec.split(":")
-        grid = np.linspace(float(start), float(stop), int(n))
+        start, stop, n = float(start), float(stop), int(n)
     except ValueError:
         raise ValueError(f"bad grid spec '{spec}'") from None
-    if grid.size < 1 or grid[0] < 0:
+    if not (math.isfinite(start) and math.isfinite(stop)) or n < 1 \
+            or min(start, stop) < 0:
         raise ValueError(f"bad grid spec '{spec}'")
-    return grid
+    return np.linspace(start, stop, n)
 
 
 def cmd_rates(args, reg: Registry) -> str:
@@ -155,26 +160,16 @@ def cmd_single(args, reg: Registry) -> str:
     spec = _damping_from_args(args, reg)
     grid = _grid(args.t_grid)
     decay = not args.no_decay
-    rows = []
-    for t in grid:
-        p_surv = transition_probability(
-            FlavorState.PARTICLE, FlavorState.PARTICLE, sp, t, spec,
-            args.momentum, decay)
-        p_flip = transition_probability(
-            FlavorState.PARTICLE, FlavorState.ANTIPARTICLE, sp, t, spec,
-            args.momentum, decay)
-        p_surv_a = transition_probability(
-            FlavorState.ANTIPARTICLE, FlavorState.ANTIPARTICLE, sp, t, spec,
-            args.momentum, decay)
-        p_flip_a = transition_probability(
-            FlavorState.ANTIPARTICLE, FlavorState.PARTICLE, sp, t, spec,
-            args.momentum, decay)
-        rows.append((t, p_surv, p_flip, p_surv_a, p_flip_a,
-                     p_surv + p_flip))
+    p_surv, p_flip = (
+        transition_probability(FlavorState.PARTICLE, final, sp, grid, spec,
+                               args.momentum, decay).tolist()
+        for final in FlavorState)
+    # CP is conserved, so the anti-particle columns repeat the particle ones
     return _csv(
         ["t_s", "p_survive", "p_flip", "p_survive_anti", "p_flip_anti",
          "sum_check"],
-        rows,
+        zip(grid.tolist(), p_surv, p_flip, p_surv, p_flip,
+            [s + f for s, f in zip(p_surv, p_flip)]),
     )
 
 
@@ -183,12 +178,12 @@ def cmd_joint(args, reg: Registry) -> str:
     spec = _damping_from_args(args, reg)
     state = antisymmetric_state()
     proj = flavor_projection(_FLAVOR[args.proj_left], _FLAVOR[args.proj_right])
-    rows = []
-    for t_l in _grid(args.t_left):
-        for t_r in _grid(args.t_right):
-            q = JointQuery(t_l, t_r, sp, spec, args.momentum)
-            rows.append((t_l, t_r, joint_probability(state, proj, q)))
-    return _csv(["t_left_s", "t_right_s", "probability"], rows)
+    t_l, t_r = _grid(args.t_left), _grid(args.t_right)
+    q = JointQuery(t_l[:, None], t_r[None, :], sp, spec, args.momentum)
+    prob = joint_probability(state, proj, q)
+    return _csv(["t_left_s", "t_right_s", "probability"],
+                zip(np.repeat(t_l, t_r.size).tolist(),
+                    np.tile(t_r, t_l.size).tolist(), prob.ravel().tolist()))
 
 
 def cmd_mc(args, reg: Registry) -> str:
@@ -268,6 +263,7 @@ def _add_model_flags(p):
     p.add_argument("--relativistic", action="store_true")
 
 
+@functools.cache  # parse_args never mutates the parser; build it once
 def build_parser() -> argparse.ArgumentParser:
     ap = argparse.ArgumentParser(
         prog="mesonosc",
@@ -277,7 +273,6 @@ def build_parser() -> argparse.ArgumentParser:
     ap.add_argument("--config", default=None, help="JSON config path")
     ap.add_argument("--seed", type=int, default=0)
     ap.add_argument("--out", default=None, help="output file path")
-    ap.add_argument("--format", choices=["csv", "json"], default="csv")
     sub = ap.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("rates", help="collapse damping-rate table")
@@ -335,8 +330,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    ap = build_parser()
-    args = ap.parse_args(argv)
+    args = build_parser().parse_args(argv)
     started = time.monotonic()
     try:
         reg, config_text = _load_registry(args)

@@ -97,8 +97,9 @@ class CslParams:
     m0: float      # MeV/c^2
 
     def __post_init__(self):
-        if self.gamma <= 0 or self.r_c <= 0 or self.m0 <= 0:
-            raise ConfigError("CSL parameters must be strictly positive")
+        if not all(math.isfinite(x) and x > 0
+                   for x in (self.gamma, self.r_c, self.m0)):
+            raise ConfigError("CSL parameters must be finite and positive")
 
 
 @dataclass(frozen=True)

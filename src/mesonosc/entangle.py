@@ -1,6 +1,6 @@
 """Two-particle joint probabilities for entangled neutral-meson pairs.
 
-The general quadruple-sum factorization over mass-basis coefficients is the
+The general factorization over mass-basis coefficients (one einsum) is the
 single source of truth; the phenomenological closed forms (zeta model,
 min-time Lindblad model, equal-width formula) are validated against it.
 
@@ -20,6 +20,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .constants import CONSTANTS, MesonSpecies
+from .kernels import _times
 from .oscillation import (
     DampingSpec,
     Eigenstate,
@@ -28,8 +29,6 @@ from .oscillation import (
     energy_difference,
     pkj,
 )
-
-_EIG = (Eigenstate.LIGHT, Eigenstate.HEAVY)
 
 
 class ImaginaryResidueError(RuntimeError):
@@ -70,16 +69,18 @@ class FinalProjection:
 
 @dataclass(frozen=True)
 class JointQuery:
-    t_left: float
-    t_right: float
+    """Detection times: scalars, or arrays broadcast against each other."""
+
+    t_left: float | np.ndarray
+    t_right: float | np.ndarray
     species: MesonSpecies
     spec: DampingSpec = field(default_factory=NoDamping)
     momentum: float = 0.0
     include_decay: bool = True
 
     def __post_init__(self):
-        if self.t_left < 0 or self.t_right < 0:
-            raise ValueError("times must be >= 0")
+        _times(self.t_left, ValueError)
+        _times(self.t_right, ValueError)
 
 
 def antisymmetric_state() -> TwoParticleState:
@@ -105,42 +106,35 @@ def flavor_projection(left: FlavorState, right: FlavorState) -> FinalProjection:
     )
 
 
+def _mass_factors(t, q: JointQuery) -> np.ndarray:
+    """P[..., j, k] = pkj(j, k, t) over the mass basis (light, heavy)."""
+    light, heavy = Eigenstate.LIGHT, Eigenstate.HEAVY
+    args = (t, q.spec, q.momentum, q.include_decay)
+    off = pkj(q.species, light, heavy, *args)
+    return np.stack(
+        [pkj(q.species, light, light, *args), off,
+         np.conj(off), pkj(q.species, heavy, heavy, *args)], axis=-1,
+    ).reshape(np.shape(t) + (2, 2))
+
+
 def joint_probability(
     state: TwoParticleState, proj: FinalProjection, q: JointQuery
-) -> float:
-    """Joint detection probability via the quadruple sum over mass indices."""
-    alpha = state.alpha
-    beta = np.asarray(proj.beta, dtype=complex)
-    gamma = np.asarray(proj.gamma, dtype=complex)
+):
+    """Joint detection probability: a float for scalar times, else an
+    array shaped like t_left broadcast against t_right.
 
-    # interference factors P[a, b] = pkj(b, a): left uses (j', j), right (k', k)
-    pl = np.empty((2, 2), dtype=complex)
-    pr = np.empty((2, 2), dtype=complex)
-    for a in range(2):
-        for b in range(2):
-            pl[a, b] = pkj(q.species, _EIG[b], _EIG[a], q.t_left, q.spec,
-                           q.momentum, q.include_decay)
-            pr[a, b] = pkj(q.species, _EIG[b], _EIG[a], q.t_right, q.spec,
-                           q.momentum, q.include_decay)
-
-    total = 0.0 + 0.0j
-    for j in range(2):
-        for k in range(2):
-            cjk = alpha[j, k] * np.conj(beta[j]) * np.conj(gamma[k])
-            if cjk == 0:
-                continue
-            for jp in range(2):
-                for kp in range(2):
-                    cpp = np.conj(alpha[jp, kp]) * beta[jp] * gamma[kp]
-                    if cpp == 0:
-                        continue
-                    total += cjk * cpp * pl[jp, j] * pr[kp, k]
-
-    if abs(total.imag) > 1e-12 * max(1.0, abs(total.real)):
+    sum c[j,k] conj(c[p,q]) P_left[j,p] P_right[k,q] over the mass indices,
+    with c = alpha conj(beta) (x) conj(gamma), as one einsum.
+    """
+    c = state.alpha * np.multiply.outer(np.conj(proj.beta), np.conj(proj.gamma))
+    total = np.einsum("jk,pq,...jp,...kq->...", c, c.conj(),
+                      _mass_factors(q.t_left, q), _mass_factors(q.t_right, q))
+    if np.any(np.abs(total.imag) > 1e-12 * np.maximum(1.0, np.abs(total.real))):
         raise ImaginaryResidueError(
-            f"joint probability has imaginary residue {total.imag}"
+            f"joint probability has imaginary residue {np.max(np.abs(total.imag))}"
         )
-    return max(total.real, 0.0)
+    prob = np.maximum(total.real, 0.0)
+    return prob if prob.ndim else float(prob)
 
 
 def _decay_envelopes(species: MesonSpecies, t_l: float, t_r: float):

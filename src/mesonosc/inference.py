@@ -17,7 +17,6 @@ import numpy as np
 from scipy.optimize import brentq, minimize_scalar
 
 from .constants import CONSTANTS, MesonSpecies
-from .entangle import _decay_envelopes, _oscillation_phase
 from .oscillation import FlavorState
 
 # 90% quantile of chi^2 with one degree of freedom, for the

@@ -22,6 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 from scipy import integrate
+from scipy.special import erf
 
 _QUAD_RTOL = 1e-10
 _QUAD_ATOL = 1e-16
@@ -29,6 +30,15 @@ _QUAD_ATOL = 1e-16
 
 class KernelError(ValueError):
     pass
+
+
+def _times(t, error: type[ValueError] = KernelError) -> np.ndarray:
+    """Times as a float array; NaN, infinite and negative times raise."""
+    t = np.asarray(t, dtype=float)
+    # a NaN anywhere makes min and max NaN, which fails the comparison
+    if t.size and not 0.0 <= t.min() <= t.max() < math.inf:
+        raise error("times must be finite and >= 0")
+    return t
 
 
 class NoiseKernel:
@@ -39,10 +49,14 @@ class NoiseKernel:
         """Pointwise value f(|s|) in s^-1."""
         raise NotImplementedError
 
-    def growth_integral(self, t: float) -> float:
-        """D(t) = int_0^t f(s)(t-s) ds, in seconds."""
-        if t < 0:
-            raise KernelError("negative time")
+    def growth_integral(self, t):
+        """D(t) = int_0^t f(s)(t-s) ds, in seconds, for a time or an array
+        of times; evaluated one element at a time."""
+        t = _times(t)
+        d = np.fromiter((self._growth_at(x) for x in t.flat), float, t.size)
+        return d.reshape(t.shape) if t.ndim else float(d[0])
+
+    def _growth_at(self, t: float) -> float:
         if t == 0.0:
             return 0.0
         val, _ = integrate.quad(
@@ -77,10 +91,9 @@ class WhiteKernel(NoiseKernel):
     def correlation(self, s: float) -> float:
         raise KernelError("white kernel has no pointwise correlation value")
 
-    def growth_integral(self, t: float) -> float:
-        if t < 0:
-            raise KernelError("negative time")
-        return 0.5 * t
+    def growth_integral(self, t):
+        d = 0.5 * _times(t)
+        return d if d.ndim else float(d)
 
     def cosine_weighted_integral(self, t: float, a: float) -> float:
         if t < 0:
@@ -98,20 +111,19 @@ class ExponentialKernel(NoiseKernel):
     tau: float
 
     def __post_init__(self):
-        if self.tau <= 0:
-            raise KernelError("tau must be positive")
+        if not (math.isfinite(self.tau) and self.tau > 0):
+            raise KernelError("tau must be positive and finite")
 
     def correlation(self, s: float) -> float:
         if not math.isfinite(s):
             raise KernelError("non-finite lag")
         return math.exp(-abs(s) / self.tau) / (2.0 * self.tau)
 
-    def growth_integral(self, t: float) -> float:
-        if t < 0:
-            raise KernelError("negative time")
-        # closed-form antiderivative; use expm1 for small t/tau accuracy
-        x = t / self.tau
-        return 0.5 * (t + self.tau * math.expm1(-x))
+    def growth_integral(self, t):
+        t = _times(t)
+        # closed-form antiderivative; expm1 keeps small t/tau accurate
+        d = 0.5 * (t + self.tau * np.expm1(-t / self.tau))
+        return d if d.ndim else float(d)
 
 
 @dataclass(frozen=True, repr=True)
@@ -121,14 +133,23 @@ class GaussianKernel(NoiseKernel):
     tau: float
 
     def __post_init__(self):
-        if self.tau <= 0:
-            raise KernelError("tau must be positive")
+        if not (math.isfinite(self.tau) and self.tau > 0):
+            raise KernelError("tau must be positive and finite")
 
     def correlation(self, s: float) -> float:
         if not math.isfinite(s):
             raise KernelError("non-finite lag")
         x = s / self.tau
         return math.exp(-0.5 * x * x) / (math.sqrt(2.0 * math.pi) * self.tau)
+
+    def growth_integral(self, t):
+        t = _times(t)
+        # D = (t/2) erf(t / sqrt(2) tau) + tau/sqrt(2 pi) (e^{-t^2/2tau^2} - 1);
+        # expm1 keeps small t/tau accurate
+        x = t / self.tau
+        d = (0.5 * t * erf(x / math.sqrt(2.0))
+             + self.tau / math.sqrt(2.0 * math.pi) * np.expm1(-0.5 * x * x))
+        return d if d.ndim else float(d)
 
 
 class TabulatedKernel(NoiseKernel):
@@ -153,9 +174,7 @@ class TabulatedKernel(NoiseKernel):
             raise KernelError("non-finite lag")
         return float(np.interp(abs(s), self.s, self.f, left=self.f[0], right=0.0))
 
-    def growth_integral(self, t: float) -> float:
-        if t < 0:
-            raise KernelError("negative time")
+    def _growth_at(self, t: float) -> float:
         if t == 0.0:
             return 0.0
         # f is piecewise linear, so f(s)(t-s) is piecewise quadratic and

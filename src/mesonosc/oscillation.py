@@ -19,8 +19,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .constants import CONSTANTS, CslParams, MesonSpecies, energy
-from .kernels import NoiseKernel, WhiteKernel, spatial_zero
+from .constants import CONSTANTS, CslParams, MesonSpecies
+from .kernels import NoiseKernel, WhiteKernel, _times, spatial_zero
 
 
 class Eigenstate(enum.Enum):
@@ -50,8 +50,8 @@ class CslDamping(DampingSpec):
     relativistic: bool = False
 
     def __post_init__(self):
-        if self.momentum < 0:
-            raise ValueError("momentum must be >= 0")
+        if not (math.isfinite(self.momentum) and self.momentum >= 0):
+            raise ValueError("momentum must be finite and >= 0")
 
 
 @dataclass(frozen=True)
@@ -59,22 +59,21 @@ class LindbladDamping(DampingSpec):
     lambda_single: float         # s^-1
 
     def __post_init__(self):
-        if self.lambda_single < 0:
-            raise ValueError("lambda_single must be >= 0")
-
-
-def _mass_of(species: MesonSpecies, j: Eigenstate) -> float:
-    return species.m_light if j is Eigenstate.LIGHT else species.m_heavy
+        if not (math.isfinite(self.lambda_single) and self.lambda_single >= 0):
+            raise ValueError("lambda_single must be finite and >= 0")
 
 
 def energy_difference(species: MesonSpecies, j: Eigenstate, k: Eigenstate,
                       p: float = 0.0) -> float:
     """E_j - E_k [MeV] with nonrelativistic kinetic terms, built from the
-    exact mass splitting so the near-degenerate masses never cancel."""
+    exact mass splitting so the near-degenerate masses never cancel:
+    1/m_heavy - 1/m_light is written as -delta_m / (m_light m_heavy)."""
+    if not math.isfinite(p):
+        raise ValueError("momentum must be finite")
     if j is k:
         return 0.0
-    de = species.delta_m + 0.5 * p * p * (
-        1.0 / species.m_heavy - 1.0 / species.m_light
+    de = species.delta_m - 0.5 * p * p * species.delta_m / (
+        species.m_light * species.m_heavy
     )
     return de if j is Eigenstate.HEAVY else -de
 
@@ -120,41 +119,36 @@ def damping_exponent(
     species: MesonSpecies,
     j: Eigenstate,
     k: Eigenstate,
-    t: float,
-) -> float:
-    """Dimensionless exponent suppressing the (j,k) interference at time t."""
-    if t < 0:
-        raise ValueError("negative time")
-    if j is k:
-        return 0.0
-    if isinstance(spec, NoDamping):
-        return 0.0
-    if isinstance(spec, LindbladDamping):
-        return spec.lambda_single * t
-    if isinstance(spec, CslDamping):
-        if spec.relativistic:
-            dm = _effective_mass_difference(species, spec.momentum)
-        else:
-            dm = species.delta_m
-        coeff = (
-            spec.params.gamma
-            * (dm / spec.params.m0) ** 2
-            * spatial_zero(spec.params.r_c)
-        )
-        return coeff * spec.kernel.growth_integral(t)
-    raise TypeError(f"unknown damping spec {spec!r}")
+    t,
+):
+    """Dimensionless exponent suppressing the (j,k) interference at time t,
+    a scalar or an array of times."""
+    t = _times(t, ValueError)
+    if j is k or isinstance(spec, NoDamping):
+        exponent = np.zeros_like(t)
+    elif isinstance(spec, LindbladDamping):
+        exponent = spec.lambda_single * t
+    elif isinstance(spec, CslDamping):
+        rate = (csl_damping_rate_relativistic(spec.params, species, spec.momentum)
+                if spec.relativistic else csl_damping_rate(spec.params, species))
+        # the white-noise rate is the exponent's slope, coefficient of D = t/2
+        exponent = 2.0 * rate * spec.kernel.growth_integral(t)
+    else:
+        raise TypeError(f"unknown damping spec {spec!r}")
+    return exponent if t.ndim else float(exponent)
 
 
 def pkj(
     species: MesonSpecies,
     j: Eigenstate,
     k: Eigenstate,
-    t: float,
+    t,
     spec: DampingSpec = NoDamping(),
     p: float = 0.0,
     include_decay: bool = True,
-) -> complex:
-    """Mass-basis interference factor P_kj(t).
+):
+    """Mass-basis interference factor P_kj(t) for a time or an array of
+    times.
 
     exp(-(Gamma_k+Gamma_j) t / 2 hbar) * exp(+i (E_j - E_k) t / hbar)
     * exp(-damping_exponent).  Satisfies pkj(k, j) = conj(pkj(j, k)) and
@@ -163,43 +157,41 @@ def pkj(
     The sign convention of the phase is fixed to +(E_j - E_k); only its
     cosine is observable in the assembled probabilities.
     """
-    if t < 0:
-        raise ValueError("negative time")
+    t = _times(t, ValueError)
     hbar = CONSTANTS.hbar_mev_s
     phase = energy_difference(species, j, k, p) * t / hbar
-    damp = damping_exponent(spec, species, j, k, t)
+    log_mag = -damping_exponent(spec, species, j, k, t)
     if include_decay:
-        decay = math.exp(-(_width_of(species, j) + _width_of(species, k)) * t / (2.0 * hbar))
-    else:
-        decay = 1.0
-    return decay * math.exp(-damp) * complex(math.cos(phase), math.sin(phase))
+        log_mag = log_mag - (
+            _width_of(species, j) + _width_of(species, k)) * t / (2.0 * hbar)
+    val = np.exp(log_mag + 1j * phase)
+    return val if t.ndim else complex(val)
 
 
 def transition_probability(
     initial: FlavorState,
     final: FlavorState,
     species: MesonSpecies,
-    t: float,
+    t,
     spec: DampingSpec = NoDamping(),
     p: float = 0.0,
     include_decay: bool = True,
-) -> float:
-    """Probability to observe ``final`` at time t starting from ``initial``.
+):
+    """Probability to observe ``final`` at time t starting from ``initial``;
+    a float for a scalar t, an array for an array of times.
 
-    Assembled as P = 1/4 [P_ll +- P_hl +- P_lh + P_hh] with minus signs
+    Assembled as P = 1/4 [P_ll +- 2 Re P_hl + P_hh] with the minus sign
     for a flavor flip.  CP violation is neglected, so the result depends
     only on whether the flavor flips, not on which flavor starts.
     """
-    if t < 0:
-        raise ValueError("negative time")
     sign = 1.0 if initial is final else -1.0
-    terms = (
-        pkj(species, Eigenstate.LIGHT, Eigenstate.LIGHT, t, spec, p, include_decay)
-        + sign * pkj(species, Eigenstate.HEAVY, Eigenstate.LIGHT, t, spec, p, include_decay)
-        + sign * pkj(species, Eigenstate.LIGHT, Eigenstate.HEAVY, t, spec, p, include_decay)
-        + pkj(species, Eigenstate.HEAVY, Eigenstate.HEAVY, t, spec, p, include_decay)
+    light, heavy = Eigenstate.LIGHT, Eigenstate.HEAVY
+    args = (t, spec, p, include_decay)
+    return 0.25 * (
+        pkj(species, light, light, *args).real
+        + 2.0 * sign * pkj(species, heavy, light, *args).real
+        + pkj(species, heavy, heavy, *args).real
     )
-    return 0.25 * terms.real
 
 
 def lindblad_density_matrix(

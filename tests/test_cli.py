@@ -1,4 +1,8 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -140,3 +144,51 @@ def test_custom_config(tmp_path):
     rc, out = run(["--config", str(cfg), "rates"], tmp_path, "r.csv")
     assert rc == 0
     assert len(out.read_text().splitlines()) == 5
+
+
+@pytest.mark.parametrize("argv", [
+    ["single", "--t-grid", "0:nan:3"],
+    ["single", "--t-grid", "0:inf:3"],
+    ["single", "--t-grid", "nan:1e-9:1"],
+    ["single", "--t-grid", "0:-1e-9:3"],
+    ["joint", "--t-left", "0:nan:2"],
+    ["overlap", "--t-grid", "0:inf:2"],
+])
+def test_non_finite_grid_is_usage_error_and_writes_nothing(tmp_path, argv):
+    out = tmp_path / "bad.csv"
+    assert cli.main(["--out", str(out)] + argv) == 2
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_calls_in_one_process_match_fresh_processes(tmp_path):
+    # the parser is built once per process; no call may leak state into
+    # the next, so each output equals that of a fresh interpreter
+    import mesonosc as m
+    cfg = m.DEFAULT_CONFIG | {"species": [
+        dict(sp, tau_light_s=2.0 * sp["tau_light_s"])
+        for sp in m.DEFAULT_CONFIG["species"]]}
+    (tmp_path / "cfg.json").write_text(json.dumps(cfg))
+    argvs = [
+        ["--config", str(tmp_path / "cfg.json"), "--seed", "7", "single",
+         "--species", "B0", "--t-grid", "0:3e-12:7", "--model", "lindblad",
+         "--lambda-single", "3e11", "--no-decay"],
+        ["joint", "--species", "D0", "--t-left", "0:1e-12:4", "--t-right",
+         "0:2e-12:3", "--proj-left", "A", "--model", "csl", "--kernel",
+         "gauss:1e-12"],
+        ["rates", "--csl-preset", "grw"],
+        ["single", "--t-grid", "0:1e-9:5"],
+    ]
+    src = str(Path(cli.__file__).resolve().parents[1])
+    fresh = []
+    for i, argv in enumerate(argvs):
+        full = ["--out", str(tmp_path / f"fresh{i}.csv")] + argv
+        code = f"from mesonosc import cli; raise SystemExit(cli.main({full!r}))"
+        fresh.append(subprocess.Popen(
+            [sys.executable, "-c", code],
+            env={**os.environ, "PYTHONPATH": src}))
+    for i, argv in enumerate(argvs):
+        assert cli.main(["--out", str(tmp_path / f"same{i}.csv")] + argv) == 0
+    for i, proc in enumerate(fresh):
+        assert proc.wait(timeout=120) == 0
+        assert (tmp_path / f"same{i}.csv").read_bytes() == \
+            (tmp_path / f"fresh{i}.csv").read_bytes()

@@ -96,3 +96,11 @@ def test_energy_modes():
 def test_csl_params_validation():
     with pytest.raises(m.ConfigError):
         m.CslParams(gamma=-1.0, r_c=1e-5, m0=940.0)
+
+
+def test_non_finite_csl_parameters_rejected():
+    for bad in (math.nan, math.inf):
+        with pytest.raises(m.ConfigError):
+            m.CslParams(gamma=bad, r_c=1e-5, m0=940.0)
+        with pytest.raises(m.ConfigError):
+            m.CslParams(gamma=1e-22, r_c=bad, m0=940.0)

@@ -138,3 +138,14 @@ def test_spatial_zero_identities():
     assert f0 == pytest.approx(alt, rel=1e-14)
     with pytest.raises(KernelError):
         spatial_zero(0.0)
+
+
+def test_non_finite_tau_and_time_raise():
+    for bad in (math.nan, math.inf):
+        with pytest.raises(KernelError):
+            ExponentialKernel(bad)
+        with pytest.raises(KernelError):
+            GaussianKernel(bad)
+        for k in (WhiteKernel(), ExponentialKernel(0.1), GaussianKernel(0.1)):
+            with pytest.raises(KernelError):
+                k.growth_integral(bad)

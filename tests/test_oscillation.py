@@ -1,4 +1,5 @@
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -188,3 +189,35 @@ def test_negative_time_raises():
         m.transition_probability(FlavorState.PARTICLE, FlavorState.PARTICLE, K0, -1.0)
     with pytest.raises(ValueError):
         m.pkj(K0, Eigenstate.LIGHT, Eigenstate.HEAVY, -1.0)
+
+
+def test_energy_difference_matches_exact_rational_reference():
+    # E_h - E_l = dm + p^2/2 (1/(m_l + dm) - 1/m_l), evaluated in exact
+    # rationals from the stored floats
+    for name in ("K0", "B0", "Bs", "D0"):
+        sp = REG.get_species(name)
+        m_l, dm = Fraction(sp.m_light), Fraction(sp.delta_m)
+        for scale in (0.2, 1.0):
+            p = scale * sp.m_light
+            exact = dm + Fraction(p) ** 2 / 2 * (1 / (m_l + dm) - 1 / m_l)
+            got = m.energy_difference(sp, Eigenstate.HEAVY, Eigenstate.LIGHT, p)
+            assert got == pytest.approx(float(exact), rel=1e-12, abs=0.0)
+
+
+def test_non_finite_inputs_raise():
+    for t in (math.nan, math.inf):
+        with pytest.raises(ValueError):
+            m.transition_probability(
+                FlavorState.PARTICLE, FlavorState.PARTICLE, K0, t)
+    with pytest.raises(ValueError):
+        m.transition_probability(
+            FlavorState.PARTICLE, FlavorState.PARTICLE, K0,
+            np.array([0.0, math.nan]))
+    with pytest.raises(ValueError):
+        m.LindbladDamping(math.nan)
+    with pytest.raises(ValueError):
+        m.LindbladDamping(math.inf)
+    with pytest.raises(ValueError):
+        m.CslDamping(params=STRONG, momentum=math.nan)
+    with pytest.raises(ValueError):
+        m.energy_difference(K0, Eigenstate.HEAVY, Eigenstate.LIGHT, p=math.inf)
