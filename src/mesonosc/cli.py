@@ -146,6 +146,13 @@ def _grid(spec: str) -> np.ndarray:
     return np.linspace(start, stop, n)
 
 
+def _finite(**flags: float) -> None:
+    """Reject a non-finite numeric flag as a usage error."""
+    for name, value in flags.items():
+        if not math.isfinite(value):
+            raise ValueError(f"--{name.replace('_', '-')} must be finite")
+
+
 def cmd_rates(args, reg: Registry) -> str:
     params = reg.get_csl(args.csl_preset)
     rows = []
@@ -235,6 +242,7 @@ def cmd_fit(args, reg: Registry) -> str:
 
 
 def cmd_overlap(args, reg: Registry) -> str:
+    _finite(sigma=args.sigma, r_c=args.r_c)
     left = GaussianPacket(0.0, args.sigma, -args.speed)
     right = GaussianPacket(0.0, args.sigma, args.speed)
     rows = []
@@ -245,6 +253,7 @@ def cmd_overlap(args, reg: Registry) -> str:
 
 
 def cmd_diag(args, reg: Registry) -> str:
+    _finite(r_c=args.r_c, t=args.t)
     sp = reg.get_species(args.species)
     payload = {
         "momentum_spread": momentum_spread_diagnostic(args.r_c),

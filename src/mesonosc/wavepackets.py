@@ -26,6 +26,8 @@ class GaussianPacket:
     speed: float    # cm/s, signed
 
     def __post_init__(self):
+        if not all(map(math.isfinite, (self.center, self.sigma, self.speed))):
+            raise ValueError("center, sigma and speed must be finite")
         if self.sigma <= 0:
             raise ValueError("sigma must be positive")
 

@@ -192,3 +192,43 @@ def test_calls_in_one_process_match_fresh_processes(tmp_path):
         assert proc.wait(timeout=120) == 0
         assert (tmp_path / f"same{i}.csv").read_bytes() == \
             (tmp_path / f"fresh{i}.csv").read_bytes()
+
+
+@pytest.mark.parametrize("argv", [
+    ["diag", "--r-c", "nan"],
+    ["diag", "--t", "inf"],
+    ["overlap", "--sigma", "nan"],
+    ["overlap", "--r-c", "inf"],
+    ["overlap", "--speed", "nan"],
+])
+def test_non_finite_packet_flags_are_usage_errors(tmp_path, argv):
+    out = tmp_path / "bad.out"
+    assert cli.main(["--out", str(out)] + argv) == 2
+    assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("bad", [
+    ["--gamma-j", "nan"], ["--gamma-k", "inf"], ["--f0", "inf"],
+    ["--f0", "nan"], ["--t", "nan"], ["--t", "inf"],
+])
+def test_mc_non_finite_is_numeric_failure(tmp_path, bad):
+    flags = {"--gamma-j": "4", "--gamma-k": "1", "--f0": "1", "--t": "1"}
+    flags[bad[0]] = bad[1]
+    argv = ["mc", "--n-trajectories", "200", "--n-steps", "10"]
+    argv += [x for kv in flags.items() for x in kv]
+    assert cli.main(["--out", str(tmp_path / "mc.json")] + argv) == 4
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_mc_is_byte_identical_across_reruns_and_chunk_sizes(tmp_path,
+                                                            monkeypatch):
+    from mesonosc import oracle
+    argv = ["--seed", "9", "mc", "--gamma-j", "4", "--gamma-k", "1", "--f0",
+            "1", "--t", "1", "--n-trajectories", "1300", "--n-steps", "20",
+            "--kernel", "exp:0.5"]
+    outs = []
+    for i, chunk in enumerate((4096, 4096, 256)):
+        monkeypatch.setattr(oracle, "_CHUNK", chunk)
+        _, out = run(argv, tmp_path, f"mc{i}.json")
+        outs.append(out.read_bytes())
+    assert outs[0] == outs[1] == outs[2]

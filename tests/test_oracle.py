@@ -1,8 +1,16 @@
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import mesonosc as m
+from mesonosc import oracle
 
 
 def white_plan(seed=0, n_traj=4000, n_steps=32, dt=1.0 / 32):
@@ -74,12 +82,91 @@ def test_different_seeds_differ():
     assert a.mean_interference != b.mean_interference
 
 
-def test_chunking_does_not_change_the_stream():
-    # per-trajectory substreams make the result independent of chunk layout;
-    # crossing the 4096 chunk boundary must join seamlessly
-    small = m.simulate_damping(4.0, 1.0, 1.0, 1.0, white_plan(n_traj=5000))
-    again = m.simulate_damping(4.0, 1.0, 1.0, 1.0, white_plan(n_traj=5000))
-    assert small.mean_interference == again.mean_interference
+def test_chunking_does_not_change_the_stream(monkeypatch):
+    # block-keyed substreams and per-row reductions make the result
+    # independent of chunk layout; 5000 is not a multiple of BLOCK, so the
+    # last block is partial under both chunk sizes
+    ou = m.SimulationPlan(n_trajectories=5000, n_steps=64, dt=1.0 / 64,
+                          seed=3, kernel=m.ExponentialKernel(tau=0.2))
+    for plan in (white_plan(seed=3, n_traj=5000), ou):
+        assert plan.n_trajectories % oracle.BLOCK != 0
+        results = []
+        for chunk in (4096, 512):
+            monkeypatch.setattr(oracle, "_CHUNK", chunk)
+            results.append(m.simulate_damping(4.0, 1.0, 1.0, 1.0, plan))
+        big, small = results
+        assert big.mean_interference == small.mean_interference
+        assert big.std_error == small.std_error
+
+
+def test_trajectory_rows_come_from_block_keyed_philox():
+    # the documented seed-to-value map: trajectory i is row i % BLOCK of
+    # Philox(key=[seed, i // BLOCK]), summed with weight sqrt(f0 dt)
+    plan = white_plan(seed=11, n_traj=300, n_steps=10, dt=0.1)
+    res = m.simulate_damping(4.0, 1.0, 1.0, 1.0, plan)
+    rows = [np.random.Generator(np.random.Philox(key=[11, b])).standard_normal(
+        (min(oracle.BLOCK, 300 - b * oracle.BLOCK), 10)) for b in (0, 1)]
+    phase = np.concatenate(rows).sum(axis=1) * math.sqrt(0.1)
+    assert res.mean_interference == pytest.approx(np.cos(phase).mean(), rel=1e-13)
+
+
+def two_growth(x):
+    """2 D(t)/tau = x + expm1(-x) at x = t/tau, by its Taylor series where
+    the closed form cancels."""
+    if x >= 0.1:
+        return x + math.expm1(-x)
+    return x * x * sum((-x) ** k / math.factorial(k + 2) for k in range(12))
+
+
+@settings(max_examples=80, deadline=None, derandomize=True)
+@given(h=st.floats(1e-8, 0.1), n_steps=st.integers(10, 2000),
+       tau=st.floats(1e-3, 1e3), f0=st.floats(1e-3, 1e3),
+       white=st.booleans())
+def test_phase_variance_is_exact_at_every_step_size(h, n_steps, tau, f0, white):
+    # no step-size bias: the weights' variance is 2 f0 D(t) to rounding
+    kernel = m.WhiteKernel() if white else m.ExponentialKernel(tau=tau)
+    dt = min(h * tau, tau / 10.0)  # h * tau can round past tau/10
+    plan = m.SimulationPlan(n_trajectories=100, n_steps=n_steps, dt=dt,
+                            seed=0, kernel=kernel)
+    w = oracle._phase_weights(plan, f0)
+    assert w.size >= n_steps
+    t = plan.total_time
+    expected = f0 * t if white else f0 * tau * two_growth(t / tau)
+    assert float(np.sum(w * w)) == pytest.approx(expected, rel=1e-12, abs=0.0)
+    if h >= 1e-4:  # where the kernel's own closed form is this accurate
+        assert expected == pytest.approx(
+            2.0 * f0 * kernel.growth_integral(t), rel=1e-12, abs=0.0)
+
+
+def test_non_finite_plan_rejected():
+    for dt in (math.nan, math.inf):
+        with pytest.raises(m.PlanError):
+            m.SimulationPlan(n_trajectories=1000, n_steps=32, dt=dt, seed=0)
+    kernel = m.ExponentialKernel(tau=1.0)
+    object.__setattr__(kernel, "tau", math.inf)  # bypass the kernel's check
+    with pytest.raises(m.PlanError):
+        m.SimulationPlan(n_trajectories=1000, n_steps=32, dt=0.1, seed=0,
+                         kernel=kernel)
+
+
+@pytest.mark.parametrize("bad", [
+    dict(gamma_j=math.nan), dict(gamma_k=math.inf), dict(f0=math.inf),
+    dict(f0=math.nan), dict(t=math.nan), dict(t=math.inf),
+])
+def test_non_finite_arguments_rejected(bad):
+    args = dict(gamma_j=4.0, gamma_k=1.0, f0=1.0, t=1.0) | bad
+    with pytest.raises(m.PlanError):
+        m.simulate_damping(plan=white_plan(), **args)
+
+
+def test_import_leaves_scipy_signal_out():
+    # scipy.signal costs about half a second of import time
+    src = str(Path(oracle.__file__).resolve().parents[1])
+    code = ("import sys, mesonosc; "
+            "raise SystemExit('scipy.signal' in sys.modules)")
+    proc = subprocess.run([sys.executable, "-c", code], timeout=120,
+                          env={**os.environ, "PYTHONPATH": src})
+    assert proc.returncode == 0
 
 
 def test_zero_time_returns_unity():

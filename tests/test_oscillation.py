@@ -144,9 +144,14 @@ def test_energy_difference_uses_exact_splitting():
     assert de == K0.delta_m
     assert m.energy_difference(K0, Eigenstate.LIGHT, Eigenstate.HEAVY) == -de
     assert m.energy_difference(K0, Eigenstate.LIGHT, Eigenstate.LIGHT) == 0.0
-    # finite momentum shifts the difference only at second order in dm
-    de_p = m.energy_difference(K0, Eigenstate.HEAVY, Eigenstate.LIGHT, p=100.0)
-    assert de_p == pytest.approx(de, rel=1e-10)
+    # at p = 100 MeV the kinetic terms lower the splitting by about 2%;
+    # sqrt(m_h^2 + p^2) - sqrt(m_l^2 + p^2) = dm (m_h + m_l) / (E_h + E_l),
+    # which the nonrelativistic form matches up to its O((p/m)^4) remainder
+    p = 100.0
+    m_l, m_h = K0.m_light, K0.m_light + K0.delta_m
+    exact = K0.delta_m * (m_h + m_l) / (math.hypot(m_h, p) + math.hypot(m_l, p))
+    de_p = m.energy_difference(K0, Eigenstate.HEAVY, Eigenstate.LIGHT, p=p)
+    assert de_p == pytest.approx(exact, rel=1e-3, abs=0.0)
 
 
 def test_oscillation_pattern_matches_textbook_form():

@@ -75,3 +75,10 @@ def test_validation():
     p = m.GaussianPacket(0.0, 1.0, 0.0)
     with pytest.raises(ValueError):
         m.suppression_ratio(-1.0, p, p, 1.0)
+
+
+def test_packet_rejects_non_finite_fields():
+    for args in [(math.nan, 1.0, 0.0), (0.0, math.inf, 0.0),
+                 (0.0, math.nan, 0.0), (0.0, 1.0, math.inf)]:
+        with pytest.raises(ValueError):
+            m.GaussianPacket(*args)
