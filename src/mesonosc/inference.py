@@ -9,12 +9,13 @@ given the observed times.  This sidesteps absolute detection efficiency.
 
 from __future__ import annotations
 
-import io
 import math
+import operator
+from collections.abc import Iterable
 from dataclasses import dataclass
+from itertools import repeat
 
 import numpy as np
-from scipy.optimize import brentq, minimize_scalar
 
 from .constants import CONSTANTS, MesonSpecies
 from .oscillation import FlavorState
@@ -23,17 +24,104 @@ from .oscillation import FlavorState
 # likelihood-ratio interval Delta(-2 logL) <= threshold
 _CHI2_90 = 2.706
 
+_HEADER = "t_left_s,t_right_s,flavor_left,flavor_right"
+# indexed by the anti-particle flag
+_FLAVOR = (FlavorState.PARTICLE, FlavorState.ANTIPARTICLE)
+_COLUMNS = ("t_left", "t_right", "anti_left", "anti_right")
+
+
+# scipy.optimize adds about 0.3 s to the package import and only the fit
+# uses it, so these two stand-ins import it on their first call
+def minimize_scalar(*args, **kwargs):
+    from scipy.optimize import minimize_scalar
+    return minimize_scalar(*args, **kwargs)
+
+
+def brentq(*args, **kwargs):
+    from scipy.optimize import brentq
+    return brentq(*args, **kwargs)
+
 
 @dataclass(frozen=True)
 class EventRecord:
+    """One event: the two decay times in seconds and the two flavors."""
+
     t_left: float
     t_right: float
     flavor_left: FlavorState
     flavor_right: FlavorState
 
     def __post_init__(self):
+        if not (math.isfinite(self.t_left) and math.isfinite(self.t_right)):
+            raise ValueError("non-finite event time")
         if self.t_left < 0 or self.t_right < 0:
             raise ValueError("times must be >= 0")
+
+
+@dataclass(frozen=True, eq=False)
+class EventTable:
+    """Events as read-only columns: float64 decay times in seconds and a
+    bool per side that is True where that side decayed as the
+    anti-particle.  ``table[i]`` and iteration give EventRecord rows."""
+
+    t_left: np.ndarray
+    t_right: np.ndarray
+    anti_left: np.ndarray
+    anti_right: np.ndarray
+
+    def __post_init__(self):
+        cols = [np.array(getattr(self, name), dtype=dtype)
+                for name, dtype in zip(_COLUMNS, (float, float, bool, bool))]
+        if cols[0].ndim != 1 or any(c.shape != cols[0].shape for c in cols):
+            raise ValueError("event columns must be 1-d and of equal length")
+        for name, col in zip(_COLUMNS, cols):
+            col.flags.writeable = False
+            object.__setattr__(self, name, col)
+        for t in cols[:2]:
+            if not np.isfinite(t).all():
+                raise ValueError("non-finite event time")
+            if t.size and t.min() < 0:
+                raise ValueError("times must be >= 0")
+
+    @classmethod
+    def from_records(cls, records: Iterable[EventRecord]) -> EventTable:
+        records = list(records)
+        return cls(
+            [e.t_left for e in records],
+            [e.t_right for e in records],
+            [e.flavor_left is FlavorState.ANTIPARTICLE for e in records],
+            [e.flavor_right is FlavorState.ANTIPARTICLE for e in records],
+        )
+
+    def __len__(self) -> int:
+        return self.t_left.size
+
+    def __getitem__(self, i: int) -> EventRecord:
+        i = operator.index(i)
+        return EventRecord(
+            float(self.t_left[i]), float(self.t_right[i]),
+            _FLAVOR[bool(self.anti_left[i])], _FLAVOR[bool(self.anti_right[i])],
+        )
+
+    def __iter__(self):
+        rows = zip(*(getattr(self, name).tolist() for name in _COLUMNS))
+        return (EventRecord(tl, tr, _FLAVOR[al], _FLAVOR[ar])
+                for tl, tr, al, ar in rows)
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, EventTable):
+            return NotImplemented
+        return all(np.array_equal(getattr(self, name), getattr(other, name))
+                   for name in _COLUMNS)
+
+    def __repr__(self) -> str:
+        return f"EventTable(n={len(self)})"
+
+
+def _table(events: EventTable | Iterable[EventRecord]) -> EventTable:
+    if isinstance(events, EventTable):
+        return events
+    return EventTable.from_records(events)
 
 
 @dataclass(frozen=True)
@@ -82,7 +170,7 @@ def generate_events(
     n: int,
     seed: int,
     time_grid: np.ndarray | None = None,
-) -> list[EventRecord]:
+) -> EventTable:
     """Draw n synthetic events, deterministic for a fixed seed.
 
     Times are inverse-CDF sampled on the grid from the survival envelope
@@ -125,28 +213,11 @@ def generate_events(
         + (u[:, 2] >= cum2).astype(int)
         + (u[:, 2] >= cum3).astype(int)
     )
-    flavors = [
-        (FlavorState.PARTICLE, FlavorState.PARTICLE),
-        (FlavorState.PARTICLE, FlavorState.ANTIPARTICLE),
-        (FlavorState.ANTIPARTICLE, FlavorState.PARTICLE),
-        (FlavorState.ANTIPARTICLE, FlavorState.ANTIPARTICLE),
-    ]
-    return [
-        EventRecord(t_l[i], t_r[i], *flavors[idx[i]]) for i in range(n)
-    ]
-
-
-def _event_arrays(events: list[EventRecord]):
-    t_l = np.array([e.t_left for e in events])
-    t_r = np.array([e.t_right for e in events])
-    like = np.array(
-        [e.flavor_left is e.flavor_right for e in events], dtype=bool
-    )
-    return t_l, t_r, like
+    return EventTable(t_l, t_r, idx >= 2, idx % 2 == 1)
 
 
 def fit_zeta(
-    events: list[EventRecord],
+    events: EventTable | Iterable[EventRecord],
     species: MesonSpecies,
     cl: float = 0.90,
 ) -> FitResult:
@@ -156,12 +227,14 @@ def fit_zeta(
     Delta(-2 logL) <= 2.706 (90% CL); a boundary MLE yields a one-sided
     interval.  Raises on a degenerate dataset (no likelihood curvature).
     """
+    events = _table(events)
     if len(events) < 100:
         raise ValueError("need at least 100 events")
     if not math.isclose(cl, 0.90):
         raise ValueError("only the 90% CL threshold is tabulated")
 
-    t_l, t_r, like = _event_arrays(events)
+    t_l, t_r = events.t_left, events.t_right
+    like = events.anti_left == events.anti_right
     a = _interference_fraction(species, t_l, t_r)
     # conditional prob = (1 + s a (1-zeta))/4 with s = -1 like, +1 unlike
     s = np.where(like, -1.0, 1.0)
@@ -231,35 +304,56 @@ def lambda_ratio(lam: float, species: MesonSpecies) -> float:
     return lam * CONSTANTS.hbar_mev_s / species.gamma_light
 
 
-_FLAVOR_CODE = {FlavorState.PARTICLE: "P", FlavorState.ANTIPARTICLE: "A"}
-_CODE_FLAVOR = {v: k for k, v in _FLAVOR_CODE.items()}
+# flavor pair suffix of a row, indexed by 2 anti_left + anti_right
+_PAIR_CELLS = (",P,P", ",P,A", ",A,P", ",A,A")
 
 
-def events_to_csv(events: list[EventRecord]) -> str:
-    lines = ["t_left_s,t_right_s,flavor_left,flavor_right"]
-    for e in events:
-        lines.append(
-            f"{e.t_left:.12e},{e.t_right:.12e},"
-            f"{_FLAVOR_CODE[e.flavor_left]},{_FLAVOR_CODE[e.flavor_right]}"
-        )
-    return "\n".join(lines) + "\n"
+def events_to_csv(events: EventTable | Iterable[EventRecord]) -> str:
+    """The event file: a header, then one row per event with both times as
+    %.12e and both flavors as P or A.
+
+    Each distinct time is formatted once.  Generated events draw their
+    times from a grid (400 points by default), so a file of any length
+    holds a few hundred distinct times.
+    """
+    events = _table(events)
+    n = len(events)
+    times = np.concatenate((events.t_left, events.t_right))
+    # unique by bit pattern, so -0.0 keeps its sign
+    bits, inverse = np.unique(times.view(np.int64), return_inverse=True)
+    cells = [f"{x:.12e}" for x in bits.view(np.float64).tolist()]
+    left_cells = [cell + "," for cell in cells]
+    index = inverse.tolist()
+    pairs = (2 * events.anti_left + events.anti_right).tolist()
+    lines = [_HEADER]
+    lines += map("".join, zip(map(left_cells.__getitem__, index[:n]),
+                              map(cells.__getitem__, index[n:]),
+                              map(_PAIR_CELLS.__getitem__, pairs)))
+    lines.append("")
+    return "\n".join(lines)
 
 
-def events_from_csv(text: str) -> list[EventRecord]:
-    reader = io.StringIO(text)
-    header = reader.readline().strip()
-    if header != "t_left_s,t_right_s,flavor_left,flavor_right":
+def events_from_csv(text: str) -> EventTable:
+    """Parse an event file; blank lines are skipped.
+
+    Raises ValueError on a bad header, a row without exactly four columns,
+    a time that does not parse or is non-finite or negative, and a flavor
+    code other than P or A.  Times parse as ``float()`` does, correctly
+    rounded.
+    """
+    header, _, body = text.partition("\n")
+    if header.strip() != _HEADER:
         raise ValueError("bad event file header")
-    events = []
-    for line in reader:
-        line = line.strip()
-        if not line:
-            continue
-        tl, tr, fl, fr = line.split(",")
-        try:
-            events.append(
-                EventRecord(float(tl), float(tr), _CODE_FLAVOR[fl], _CODE_FLAVOR[fr])
-            )
-        except KeyError as exc:
-            raise ValueError(f"bad flavor code {exc}") from None
-    return events
+    rows = [line for line in map(str.strip, body.split("\n")) if line]
+    if set(map(str.count, rows, repeat(","))) - {3}:
+        raise ValueError("event rows need exactly four columns")
+    cells = ",".join(rows).split(",") if rows else []
+    codes = {*cells[2::4], *cells[3::4]}
+    if not codes <= {"P", "A"}:
+        raise ValueError(f"bad flavor code {min(codes - {'P', 'A'})!r}")
+    return EventTable(
+        np.array(cells[0::4], dtype=float),
+        np.array(cells[1::4], dtype=float),
+        [code == "A" for code in cells[2::4]],
+        [code == "A" for code in cells[3::4]],
+    )

@@ -19,13 +19,30 @@ from __future__ import annotations
 import io
 import math
 from dataclasses import dataclass
+from types import SimpleNamespace
 
 import numpy as np
-from scipy import integrate
 from scipy.special import erf
 
 _QUAD_RTOL = 1e-10
 _QUAD_ATOL = 1e-16
+
+# x + expm1(-x) = (x^2/2) sum_k 2 (-x)^k / (k+2)!; below _SERIES_X the
+# direct form loses about 2e-16/x of relative accuracy to cancellation, and
+# the terms left out of the series are below 1e-18 relative
+_SERIES_X = 0.1
+_EXP_SERIES = [2.0 * (-1) ** k / math.factorial(k + 2) for k in range(10)][::-1]
+
+
+def _quad(*args, **kwargs):
+    from scipy.integrate import quad
+    return quad(*args, **kwargs)
+
+
+# scipy.integrate (with scipy.optimize, which it imports) adds about 0.3 s
+# to the package import and only the quad fallbacks use it, so it is
+# imported on their first call
+integrate = SimpleNamespace(quad=_quad)
 
 
 class KernelError(ValueError):
@@ -121,8 +138,11 @@ class ExponentialKernel(NoiseKernel):
 
     def growth_integral(self, t):
         t = _times(t)
-        # closed-form antiderivative; expm1 keeps small t/tau accurate
-        d = 0.5 * (t + self.tau * np.expm1(-t / self.tau))
+        # D = (tau/2)(x + expm1(-x)) with x = t/tau; the series, written as
+        # (t x / 4) P(x), keeps full relative accuracy at small x
+        x = t / self.tau
+        series = 0.25 * t * x * np.polyval(_EXP_SERIES, np.minimum(x, _SERIES_X))
+        d = np.where(x < _SERIES_X, series, 0.5 * (t + self.tau * np.expm1(-x)))
         return d if d.ndim else float(d)
 
 

@@ -49,6 +49,9 @@ class SimulationPlan:
     kernel: NoiseKernel = field(default_factory=WhiteKernel)
 
     def __post_init__(self):
+        # the seed is one 64-bit word of the Philox key
+        if not 0 <= self.seed < 2**64:
+            raise PlanError("seed must be in [0, 2**64)")
         if self.n_trajectories < 100:
             raise PlanError("need at least 100 trajectories")
         if self.n_steps < 10:
@@ -138,8 +141,9 @@ def simulate_damping(gamma_j: float, gamma_k: float, f0: float, t: float,
     for lo in range(0, n, _CHUNK):
         hi = min(lo + _CHUNK, n)
         for start in range(lo, hi, BLOCK):
-            rng = np.random.Generator(
-                np.random.Philox(key=[plan.seed, start // BLOCK]))
+            # as uint64 words: from a Python list numpy changes seeds >= 2**63
+            key = np.array([plan.seed, start // BLOCK], dtype=np.uint64)
+            rng = np.random.Generator(np.random.Philox(key=key))
             rng.standard_normal(out=z[start - lo:min(start + BLOCK, hi) - lo])
         # einsum reduces each row on its own; a threaded BLAS matmul splits
         # rows by chunk size and can change the last bits

@@ -232,3 +232,56 @@ def test_mc_is_byte_identical_across_reruns_and_chunk_sizes(tmp_path,
         _, out = run(argv, tmp_path, f"mc{i}.json")
         outs.append(out.read_bytes())
     assert outs[0] == outs[1] == outs[2]
+
+
+@pytest.mark.parametrize("row", [
+    "nan,1e-10,P,A", "1e-10,inf,P,A", "1e-10,1e-10,PX,A",
+    "1e-10,1e-10,P,A,P", "1e-10,1e-10,P",
+])
+def test_fit_bad_event_row_is_usage_error_and_writes_nothing(tmp_path,
+                                                             capsys, row):
+    import mesonosc as m
+    lines = m.events_to_csv(m.generate_events(
+        m.default_registry().get_species("K0"), 0.3, 500, 2)).splitlines()
+    lines.insert(250, row)
+    events = tmp_path / "events.csv"
+    events.write_text("\n".join(lines) + "\n")
+    rc, out = run(["fit", "--events", str(events)], tmp_path, "fit.json")
+    assert rc == 2
+    assert "usage error" in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == [events]
+
+
+def test_fit_skips_blank_event_lines(tmp_path):
+    clean = tmp_path / "clean.csv"
+    run(["--seed", "3", "fit", "--zeta-true", "0.3", "--n-events", "500",
+         "--save-events", str(clean)], tmp_path, "saved.json")
+    lines = clean.read_text().splitlines()
+    spaced = tmp_path / "spaced.csv"
+    spaced.write_text("\n\n".join(lines[:100]) + "\n  \n"
+                      + "\n".join(lines[100:]) + "\n\n")
+    _, a = run(["fit", "--events", str(clean)], tmp_path, "a.json")
+    _, b = run(["fit", "--events", str(spaced)], tmp_path, "b.json")
+    assert json.loads(a.read_text())["n_events"] == 500
+    assert a.read_bytes() == b.read_bytes()
+
+
+MC_SMALL = ["mc", "--gamma-j", "4", "--gamma-k", "1", "--f0", "1", "--t", "1",
+            "--n-trajectories", "300", "--n-steps", "10"]
+
+
+@pytest.mark.parametrize("seed", [-1, 2**64])
+def test_mc_seed_outside_64_bits_is_numeric_failure(tmp_path, seed):
+    out = tmp_path / "mc.json"
+    assert cli.main(["--out", str(out), "--seed", str(seed)] + MC_SMALL) == 4
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_mc_runs_at_largest_seed(tmp_path):
+    import warnings
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # no lossy cast into the Philox key
+        rc, out = run(["--seed", str(2**64 - 1)] + MC_SMALL, tmp_path,
+                      "mc.json")
+    assert rc == 0
+    assert abs(json.loads(out.read_text())["mean_interference"]) <= 1.0

@@ -42,6 +42,23 @@ def test_exponential_closed_form_matches_quadrature():
         assert closed == pytest.approx(quad, rel=1e-9)
 
 
+@pytest.mark.parametrize("tau", [1e-12, 1e-10, 0.3, 4.0e5])
+def test_exponential_growth_integral_matches_mpmath(tau):
+    # D = (tau/2)(x + expm1(-x)) cancels at small x = t/tau unless summed
+    # as a series; the reference takes the float t and tau as given
+    mpmath = pytest.importorskip("mpmath")
+    x = np.concatenate((np.logspace(-8, 1, 901),
+                        np.nextafter(0.1, [0.0, 1.0]), [0.1]))
+    t = x * tau
+    got = ExponentialKernel(tau=tau).growth_integral(t)
+    with mpmath.workdps(40):
+        for ti, di in zip(t.tolist(), got.tolist()):
+            xm = mpmath.mpf(ti) / mpmath.mpf(tau)
+            ref = mpmath.mpf(tau) / 2 * (xm + mpmath.expm1(-xm))
+            assert abs(di - ref) <= 1e-14 * ref
+            assert ExponentialKernel(tau=tau).growth_integral(ti) == di
+
+
 def test_exponential_white_limit():
     t = 1.0
     k = ExponentialKernel(tau=1e-4 * t)

@@ -19,6 +19,13 @@ def white_plan(seed=0, n_traj=4000, n_steps=32, dt=1.0 / 32):
     )
 
 
+def test_plan_rejects_seeds_outside_64_bits():
+    for seed in (-1, 2**64):
+        with pytest.raises(m.PlanError, match="seed"):
+            white_plan(seed=seed)
+    assert white_plan(seed=2**64 - 1).seed == 2**64 - 1
+
+
 def test_plan_validation():
     with pytest.raises(m.PlanError):
         m.SimulationPlan(n_trajectories=10, n_steps=32, dt=0.1, seed=0)
@@ -164,6 +171,17 @@ def test_import_leaves_scipy_signal_out():
     src = str(Path(oracle.__file__).resolve().parents[1])
     code = ("import sys, mesonosc; "
             "raise SystemExit('scipy.signal' in sys.modules)")
+    proc = subprocess.run([sys.executable, "-c", code], timeout=120,
+                          env={**os.environ, "PYTHONPATH": src})
+    assert proc.returncode == 0
+
+
+def test_import_leaves_scipy_optimize_and_integrate_out():
+    # only the fit and the kernel quad fallbacks use them, and together
+    # they cost about 0.3 s of import time
+    src = str(Path(oracle.__file__).resolve().parents[1])
+    code = ("import sys, mesonosc; raise SystemExit(bool("
+            "{'scipy.optimize', 'scipy.integrate'} & set(sys.modules)))")
     proc = subprocess.run([sys.executable, "-c", code], timeout=120,
                           env={**os.environ, "PYTHONPATH": src})
     assert proc.returncode == 0
