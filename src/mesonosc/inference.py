@@ -23,23 +23,15 @@ from .oscillation import FlavorState
 # 90% quantile of chi^2 with one degree of freedom, for the
 # likelihood-ratio interval Delta(-2 logL) <= threshold
 _CHI2_90 = 2.706
+# root tolerance in x = 1 - zeta and step cap of the fit's Newton solver;
+# bisection alone narrows [0, 1] below the tolerance in 34 steps
+_XTOL = 1e-10
+_MAX_STEPS = 100
 
 _HEADER = "t_left_s,t_right_s,flavor_left,flavor_right"
 # indexed by the anti-particle flag
 _FLAVOR = (FlavorState.PARTICLE, FlavorState.ANTIPARTICLE)
 _COLUMNS = ("t_left", "t_right", "anti_left", "anti_right")
-
-
-# scipy.optimize adds about 0.3 s to the package import and only the fit
-# uses it, so these two stand-ins import it on their first call
-def minimize_scalar(*args, **kwargs):
-    from scipy.optimize import minimize_scalar
-    return minimize_scalar(*args, **kwargs)
-
-
-def brentq(*args, **kwargs):
-    from scipy.optimize import brentq
-    return brentq(*args, **kwargs)
 
 
 @dataclass(frozen=True)
@@ -177,8 +169,12 @@ def generate_events(
     (exp(-G_l t/hbar) + exp(-G_h t/hbar))/2; the flavor pair is then drawn
     from the conditional four-outcome distribution of the zeta model.
     Randomness comes from one counter-based Philox stream; row i of the
-    uniform block belongs to event i.
+    uniform block belongs to event i.  The seed is one 64-bit word of the
+    Philox key, as in the oracle: a seed outside [0, 2**64) raises
+    OverflowError.
     """
+    if not 0 <= seed < 2**64:
+        raise OverflowError("seed must be in [0, 2**64)")
     if not 0.0 <= zeta_true <= 1.0:
         raise ValueError("zeta_true must be in [0, 1]")
     if n < 1:
@@ -216,6 +212,38 @@ def generate_events(
     return EventTable(t_l, t_r, idx >= 2, idx % 2 == 1)
 
 
+def _newton_root(fun, neg: float, pos: float, x: float) -> tuple[float, bool]:
+    """A root of fun between neg and pos, where fun(neg) < 0 < fun(pos)
+    (neg may lie on either side of pos), and whether it was located to
+    _XTOL within _MAX_STEPS steps.
+
+    fun(x) returns (value, slope).  Newton steps start at x; every value
+    narrows the bracket, and a step that would leave it, or that starts
+    from an infinite value or slope, is replaced by bisection.
+    """
+    lo, hi = sorted((neg, pos))
+    if not lo < x < hi:
+        x = 0.5 * (lo + hi)
+    for _ in range(_MAX_STEPS):
+        value, slope = fun(x)
+        if value == 0.0:
+            return x, True
+        if value < 0.0:
+            neg = x
+        elif value > 0.0:
+            pos = x
+        lo, hi = sorted((neg, pos))
+        finite = math.isfinite(value) and math.isfinite(slope) and slope != 0.0
+        new = x - value / slope if finite else math.nan
+        # a step that rounds away leaves new == x, an end of the bracket
+        if new != x and not lo < new < hi:
+            new = 0.5 * (lo + hi)
+        if abs(new - x) <= _XTOL:
+            return new, True
+        x = new
+    return x, False
+
+
 def fit_zeta(
     events: EventTable | Iterable[EventRecord],
     species: MesonSpecies,
@@ -226,6 +254,13 @@ def fit_zeta(
     The confidence interval is the likelihood-ratio set
     Delta(-2 logL) <= 2.706 (90% CL); a boundary MLE yields a one-sided
     interval.  Raises on a degenerate dataset (no likelihood curvature).
+
+    In x = 1 - zeta the negative log-likelihood -sum log1p(sa x) is convex
+    on [0, 1]; with r = sa/(1 + sa x) its slope is -sum r and its
+    curvature sum r^2.  The slope's signs at x = 0 and x = 1 decide a
+    boundary estimate exactly; otherwise the estimate is the slope's root,
+    and each interval edge the root of the likelihood ratio minus 2.706,
+    all found by safeguarded Newton steps.
     """
     events = _table(events)
     if len(events) < 100:
@@ -246,36 +281,48 @@ def fit_zeta(
     ):
         raise ValueError("degenerate dataset: all identical times and flavors")
 
-    def nll(zeta: float) -> float:
-        # arg = -1 (a like-flavor pair at exactly equal times under zeta = 0)
-        # legitimately gives a -inf log-likelihood
-        arg = sa * (1.0 - zeta)
-        with np.errstate(divide="ignore"):
-            return -float(np.sum(np.log1p(arg)))
+    def nll(x: float) -> float:
+        return -float(np.log1p(sa * x).sum())
 
-    res = minimize_scalar(nll, bounds=(0.0, 1.0), method="bounded",
-                          options={"xatol": 1e-6, "maxiter": 500})
-    zeta_hat = float(np.clip(res.x, 0.0, 1.0))
-    converged = bool(res.success)
-    # snap to the boundary when it is at least as good
-    for edge in (0.0, 1.0):
-        if nll(edge) <= nll(zeta_hat):
-            zeta_hat = edge
-    nll_min = nll(zeta_hat)
+    def gradient(x: float) -> tuple[float, float]:
+        r = sa / (1.0 + sa * x)
+        return -float(r.sum()), float(r @ r)
 
-    def excess(zeta: float) -> float:
-        return 2.0 * (nll(zeta) - nll_min) - _CHI2_90
+    def excess(x: float) -> tuple[float, float]:
+        r = sa / (1.0 + sa * x)
+        return 2.0 * (nll(x) - nll_min) - _CHI2_90, -2.0 * float(r.sum())
 
-    ci_low, ci_high = 0.0, 1.0
-    if excess(0.0) > 0.0 and zeta_hat > 0.0:
-        ci_low = brentq(excess, 0.0, zeta_hat, xtol=1e-8)
-    if excess(1.0) > 0.0 and zeta_hat < 1.0:
-        ci_high = brentq(excess, zeta_hat, 1.0, xtol=1e-8)
+    # sa = -1 (a like-flavor pair at exactly equal times) legitimately makes
+    # the negative log-likelihood and its slope +inf at x = 1 (zeta = 0)
+    with np.errstate(divide="ignore"):
+        slope_0, curvature_0 = gradient(0.0)
+        converged = True
+        if slope_0 >= 0.0:
+            x_hat = 0.0
+        elif gradient(1.0)[0] <= 0.0:
+            x_hat = 1.0
+        else:
+            x_hat, converged = _newton_root(gradient, 0.0, 1.0,
+                                            -slope_0 / curvature_0)
+        nll_min = nll(x_hat)
+        curvature = gradient(x_hat)[1]
+        # x_low and x_high are the edges of the interval in x, where the
+        # likelihood ratio reaches the threshold or the range ends; each
+        # search starts at the quadratic approximation's edge
+        edges = [0.0, 1.0]
+        for i, end in enumerate(edges):
+            if x_hat != end and excess(end)[0] > 0.0:
+                half_width = math.sqrt(_CHI2_90 / curvature)
+                edges[i], ok = _newton_root(
+                    excess, x_hat, end,
+                    x_hat + math.copysign(half_width, end - x_hat))
+                converged &= ok
+        x_low, x_high = edges
 
     return FitResult(
-        zeta_hat=zeta_hat,
-        ci_low=ci_low,
-        ci_high=ci_high,
+        zeta_hat=1.0 - x_hat,
+        ci_low=1.0 - x_high,
+        ci_high=1.0 - x_low,
         log_likelihood=-nll_min,
         n_events=len(events),
         converged=converged,

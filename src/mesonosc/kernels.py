@@ -39,7 +39,7 @@ def _quad(*args, **kwargs):
     return quad(*args, **kwargs)
 
 
-# scipy.integrate (with scipy.optimize, which it imports) adds about 0.3 s
+# scipy.integrate (and the optimizer package it imports) adds about 0.3 s
 # to the package import and only the quad fallbacks use it, so it is
 # imported on their first call
 integrate = SimpleNamespace(quad=_quad)

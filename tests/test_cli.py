@@ -285,3 +285,49 @@ def test_mc_runs_at_largest_seed(tmp_path):
                       "mc.json")
     assert rc == 0
     assert abs(json.loads(out.read_text())["mean_interference"]) <= 1.0
+
+
+FIT_SMALL = ["fit", "--zeta-true", "0.2", "--n-events", "500"]
+
+
+@pytest.mark.parametrize("seed", [-1, 2**64])
+def test_fit_seed_outside_64_bits_is_numeric_failure(tmp_path, seed):
+    # the same seed domain, and the same exit code, as mc
+    events = tmp_path / "events.csv"
+    argv = ["--out", str(tmp_path / "fit.json"), "--seed", str(seed)]
+    assert cli.main(argv + FIT_SMALL + ["--save-events", str(events)]) == 4
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_fit_runs_at_largest_seed(tmp_path):
+    rc, out = run(["--seed", str(2**64 - 1)] + FIT_SMALL, tmp_path, "fit.json")
+    assert rc == 0
+    assert json.loads(out.read_text())["n_events"] == 500
+
+
+def test_fit_that_does_not_converge_is_numeric_failure(tmp_path, monkeypatch):
+    from mesonosc import inference
+    monkeypatch.setattr(inference, "_MAX_STEPS", 1)
+    rc, _ = run(["--seed", "4"] + FIT_SMALL, tmp_path, "fit.json")
+    assert rc == 4
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_fit_never_imports_scipy_optimize(tmp_path):
+    # the solver is a few lines of Newton steps; scipy.optimize would add
+    # about 0.24 s and 24 MB to every fit process
+    events, out = tmp_path / "events.csv", tmp_path / "fit.json"
+    code = (
+        "import sys; from mesonosc import cli\n"
+        f"assert cli.main(['--seed', '3', '--out', {str(out)!r}, 'fit', "
+        f"'--zeta-true', '0.2', '--n-events', '2000', "
+        f"'--save-events', {str(events)!r}]) == 0\n"
+        f"assert cli.main(['--out', {str(out)!r}, 'fit', "
+        f"'--events', {str(events)!r}]) == 0\n"
+        "raise SystemExit('scipy.optimize' in sys.modules)\n"
+    )
+    src = str(Path(cli.__file__).resolve().parents[1])
+    proc = subprocess.run([sys.executable, "-c", code], timeout=120,
+                          env={**os.environ, "PYTHONPATH": src})
+    assert proc.returncode == 0
+    assert json.loads(out.read_text())["converged"]
