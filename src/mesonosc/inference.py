@@ -13,7 +13,6 @@ import math
 import operator
 from collections.abc import Iterable
 from dataclasses import dataclass
-from itertools import repeat
 
 import numpy as np
 
@@ -380,27 +379,163 @@ def events_to_csv(events: EventTable | Iterable[EventRecord]) -> str:
     return "\n".join(lines)
 
 
+# the characters other than "\n" that str.strip removes from an ASCII line
+_ASCII_WHITESPACE = "\t\x0b\x0c\r\x1c\x1d\x1e\x1f "
+# the separators of a row, in order
+_ROW_SEPARATORS = np.frombuffer(b",,,\n", np.uint8)
+# A time cell of at most _KEY_BYTES bytes is keyed by those bytes, taken
+# from the window of _KEY_BYTES bytes that ends where the cell ends and
+# masked by _KEY_MASKS[n], which keeps the last n bytes of a window.
+_KEY_BYTES = 24
+_KEY_MASKS = np.frombuffer(
+    b"".join(bytes(_KEY_BYTES - n) + b"\xff" * n
+             for n in range(_KEY_BYTES + 1)), f"V{_KEY_BYTES}")
+# odd multipliers that hash a key's words; the top _SLOT_BITS bits of the
+# hash pick a slot of the table that pairs equal keys
+_KEY_MIX = np.array([0x9E3779B97F4A7C15, 0xC2B2AE3D27D4EB4F,
+                     0x165667B19E3779F9], dtype=np.uint64)
+_SLOT_BITS = 16
+
+
+def _row_bounds(buf: np.ndarray, offset: int) -> np.ndarray:
+    """Positions in buf of each non-blank line's start, its three commas
+    and its closing newline, one row per line.
+
+    buf[offset - 1] is the header's newline, and every line ends with a
+    newline.  Raises ValueError unless each non-blank line holds exactly
+    three commas.
+    """
+    tail = buf[offset - 1:]
+    is_sep = tail == ord(",")
+    is_sep |= tail == ord("\n")
+    sep = np.flatnonzero(is_sep) + (offset - 1)
+    del is_sep
+    kind = buf[sep]
+    # skip the header's newline (the first separator) and each newline
+    # right after a newline, which ends a blank line
+    rows = np.flatnonzero((kind != ord("\n")) | (buf[sep - 1] != ord("\n")))[1:]
+    if rows.size % 4 or np.any(kind[rows].reshape(-1, 4) != _ROW_SEPARATORS):
+        raise ValueError("event rows need exactly four columns")
+    bounds = np.empty((rows.size // 4, 5), np.intp)
+    # the separator before a row's first comma is the newline that ends
+    # the line above
+    bounds[:, 0] = sep[rows[0::4] - 1] + 1
+    bounds[:, 1:] = sep[rows].reshape(-1, 4)
+    return bounds
+
+
+def _first_equal_cell(buf: np.ndarray, end: np.ndarray,
+                      length: np.ndarray) -> np.ndarray:
+    """For each cell buf[end - length:end], a cell with the same bytes
+    that maps to itself.
+
+    A cell longer than a key maps to itself.  Cells that share a hash slot
+    are compared key against key, so a collision leaves a cell mapping to
+    itself, never to a different cell.  Every window lies inside buf,
+    because the header line is longer than a key.
+    """
+    count = end.size
+    windows = np.ndarray((buf.size - _KEY_BYTES + 1,), f"V{_KEY_BYTES}",
+                         buf, strides=(1,))
+    keys = windows[end - _KEY_BYTES]
+    words = keys.view(np.uint64).reshape(count, 3)
+    words &= _KEY_MASKS[np.minimum(length, _KEY_BYTES)].view(
+        np.uint64).reshape(count, 3)
+    mixed = length.astype(np.uint64)
+    for word, mix in zip(words.T, _KEY_MIX):
+        mixed ^= word * mix
+    mixed >>= np.uint64(64 - _SLOT_BITS)
+    slot = mixed.view(np.int64)
+    index = np.arange(count)
+    table = np.empty(1 << _SLOT_BITS, np.intp)
+    table[slot] = index
+    other = table[slot]
+    same = (length <= _KEY_BYTES) & (length == length[other])
+    for word in words.T:
+        same &= word == word[other]
+    return np.where(same, other, index)
+
+
+def _parse_cells(buf: np.ndarray, end: np.ndarray,
+                 length: np.ndarray) -> np.ndarray:
+    """``float()`` of each cell ``buf[end - length:end]``, as one array,
+    with equal cells parsed once.
+
+    The cells are the time cells of the rows in file order, each row's
+    left cell before its right one, and a comma follows each.  If a cell
+    does not parse, the first such cell of the left column, or else of
+    the right one, raises float()'s error.
+    """
+    source = _first_equal_cell(buf, end, length)
+    parsed = source == np.arange(source.size)
+    which = (np.cumsum(parsed) - 1)[source]
+    # keep the bytes of each cell parsed and the comma after it, and split
+    # them as text in one call; runs of bytes dropped and kept alternate
+    last = end[parsed]
+    edges = np.empty(2 * last.size + 2, np.intp)
+    edges[0], edges[-1] = 0, buf.size
+    edges[1:-1:2] = last - length[parsed]
+    edges[2:-1:2] = last + 1
+    kept = np.zeros(edges.size - 1, bool)
+    kept[1::2] = True
+    keep = np.repeat(kept, np.diff(edges))
+    del last, edges, kept  # free each temporary before the next is made
+    text = buf[keep].tobytes().decode("utf-8", "surrogatepass")
+    del keep
+    cells = text.split(",")
+    del text, cells[-1]
+    try:
+        values = np.array(cells, dtype=float)
+    except ValueError:
+        # the first cell that fails, left column before right, raises
+        for i in which.reshape(-1, 2).T.ravel().tolist():
+            float(cells[i])
+        raise
+    return values[which]
+
+
 def events_from_csv(text: str) -> EventTable:
     """Parse an event file; blank lines are skipped.
 
     Raises ValueError on a bad header, a row without exactly four columns,
-    a time that does not parse or is non-finite or negative, and a flavor
-    code other than P or A.  Times parse as ``float()`` does, correctly
-    rounded.
+    a flavor code other than P or A, and a time that does not parse or is
+    non-finite or negative.  Each line is stripped as ``str.strip`` strips
+    it, and times parse as ``float()`` does, correctly rounded; the first
+    time that does not parse, left column before right, is named.
+
+    The file is read as bytes: one pass finds the commas and newlines and
+    checks every row, and the distinct time cells are gathered and
+    converted in one call, each once.
     """
-    header, _, body = text.partition("\n")
+    cut = text.find("\n")
+    header = text[:cut] if cut >= 0 else text
     if header.strip() != _HEADER:
         raise ValueError("bad event file header")
-    rows = [line for line in map(str.strip, body.split("\n")) if line]
-    if set(map(str.count, rows, repeat(","))) - {3}:
-        raise ValueError("event rows need exactly four columns")
-    cells = ",".join(rows).split(",") if rows else []
-    codes = {*cells[2::4], *cells[3::4]}
-    if not codes <= {"P", "A"}:
-        raise ValueError(f"bad flavor code {min(codes - {'P', 'A'})!r}")
-    return EventTable(
-        np.array(cells[0::4], dtype=float),
-        np.array(cells[1::4], dtype=float),
-        [code == "A" for code in cells[2::4]],
-        [code == "A" for code in cells[3::4]],
-    )
+    if text.isascii() and not any(c in text for c in _ASCII_WHITESPACE):
+        if not text.endswith("\n"):
+            text += "\n"  # every line, the last too, ends with a newline
+        raw = text.encode("ascii")
+        offset = len(header) + 1
+    else:
+        # str.strip also removes Unicode whitespace; strip lines as text
+        body = text[len(header) + 1:]
+        body = "\n".join(map(str.strip, body.split("\n")))
+        raw = f"{_HEADER}\n{body}\n".encode("utf-8", "surrogatepass")
+        offset = len(_HEADER) + 1
+    buf = np.frombuffer(raw, np.uint8)
+    bounds = _row_bounds(buf, offset)
+    code_at = bounds[:, 2:4] + 1
+    code_end = bounds[:, 3:]
+    code = buf[code_at]
+    good = ((code_end - code_at == 1)
+            & ((code == ord("P")) | (code == ord("A"))))
+    if not good.all():
+        bad = {raw[s:e].decode("utf-8", "surrogatepass") for s, e in
+               zip(code_at[~good].tolist(), code_end[~good].tolist())}
+        raise ValueError(f"bad flavor code {min(bad)!r}")
+    # the two time cells of each row, in file order
+    end = bounds[:, 1:3].ravel()
+    length = end - (bounds[:, :2] + (0, 1)).ravel()
+    times = _parse_cells(buf, end, length)
+    anti = code == ord("A")
+    return EventTable(times[0::2], times[1::2], anti[:, 0], anti[:, 1])

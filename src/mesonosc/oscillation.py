@@ -152,18 +152,30 @@ def pkj(
 
     exp(-(Gamma_k+Gamma_j) t / 2 hbar) * exp(+i (E_j - E_k) t / hbar)
     * exp(-damping_exponent).  Satisfies pkj(k, j) = conj(pkj(j, k)) and
-    pkj(j, j, t) = exp(-Gamma_j t / hbar).
+    pkj(j, j, t) = exp(-Gamma_j t / hbar).  Raises OverflowError for times
+    so large that the phase overflows; where only the decay exponent
+    overflows, the factor is exactly 0.
 
     The sign convention of the phase is fixed to +(E_j - E_k); only its
     cosine is observable in the assembled probabilities.
     """
     t = _times(t, ValueError)
     hbar = CONSTANTS.hbar_mev_s
-    phase = energy_difference(species, j, k, p) * t / hbar
+    # from about 1e295 s on (by species) the phase overflows, and 1j * inf
+    # would make every probability NaN
+    try:
+        with np.errstate(over="raise"):
+            phase = energy_difference(species, j, k, p) * t / hbar
+    except FloatingPointError:
+        raise OverflowError(
+            f"times up to {np.max(t):g} s overflow the oscillation "
+            "phase") from None
     log_mag = -damping_exponent(spec, species, j, k, t)
     if include_decay:
-        log_mag = log_mag - (
-            _width_of(species, j) + _width_of(species, k)) * t / (2.0 * hbar)
+        # a decay exponent that overflows to -inf gives exp(...) = 0 exactly
+        with np.errstate(over="ignore"):
+            log_mag = log_mag - (_width_of(species, j)
+                                 + _width_of(species, k)) * t / (2.0 * hbar)
     val = np.exp(log_mag + 1j * phase)
     return val if t.ndim else complex(val)
 
@@ -229,6 +241,8 @@ def momentum_spread_diagnostic(r_c: float) -> dict:
     often-quoted 12 eV/c matches h/r_C instead.  Both are reported; the
     factor-2pi discrepancy is surfaced, not resolved.
     """
+    if not r_c > 0:
+        raise ValueError("r_c must be positive")
     hbar_c_mev_cm = CONSTANTS.hbar_mev_s * CONSTANTS.c_cm_s  # MeV cm
     p_hbar_ev = hbar_c_mev_cm / r_c * 1e6
     return {
@@ -244,6 +258,8 @@ def phase_magnitude_diagnostic(species: MesonSpecies, t: float) -> dict:
     t = 1.6e-7 s is ~2.7e-16; direct evaluation differs by a factor of
     several, which is flagged as an order-of-magnitude comparison only.
     """
+    if not t >= 0:
+        raise ValueError("t must be >= 0")
     coeff_mev = t / (2.0 * CONSTANTS.hbar_mev_s) * species.delta_m / (
         species.m_light * species.m_heavy
     )

@@ -1,4 +1,5 @@
 import json
+import math
 import os
 import subprocess
 import sys
@@ -200,11 +201,51 @@ def test_calls_in_one_process_match_fresh_processes(tmp_path):
     ["overlap", "--sigma", "nan"],
     ["overlap", "--r-c", "inf"],
     ["overlap", "--speed", "nan"],
+    # finite but outside the domain: no length scale, a negative time
+    ["diag", "--r-c", "0"],
+    ["diag", "--r-c", "-1"],
+    ["diag", "--t", "-1"],
 ])
 def test_non_finite_packet_flags_are_usage_errors(tmp_path, argv):
     out = tmp_path / "bad.out"
     assert cli.main(["--out", str(out)] + argv) == 2
     assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("argv", [
+    ["single", "--t-grid", "0:1e300:3"],
+    ["single", "--t-grid", "0:1e300:3", "--no-decay"],
+    ["joint", "--t-left", "0:1e300:3", "--t-right", "0:1e300:3"],
+])
+def test_overflowing_times_are_numeric_failure(tmp_path, argv):
+    # valid times whose phase overflows: no NaN rows, no RuntimeWarning
+    import warnings
+    out = tmp_path / "big.csv"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert cli.main(["--out", str(out)] + argv) == 4
+    assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("argv", [
+    ["single", "--species", "K0", "--t-grid", "0:2e298:3"],
+    ["single", "--species", "D0", "--t-grid", "0:1e297:3"],
+    ["joint", "--species", "K0", "--t-left", "0:2e298:3",
+     "--t-right", "0:2e298:3"],
+])
+def test_overflowing_decay_alone_gives_zero_probabilities(tmp_path, argv):
+    # the decay exponent overflows but the phase does not: exp(-inf) is 0
+    import warnings
+    out = tmp_path / "big.csv"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert cli.main(["--out", str(out)] + argv) == 0
+    header, *rows = (line.split(",") for line in out.read_text().splitlines())
+    values = [[float(cell) for cell in row] for row in rows]
+    assert all(math.isfinite(v) for row in values for v in row)
+    # at the largest times every probability has decayed to 0
+    assert all(v == 0 for name, v in zip(header, values[-1])
+               if not name.startswith("t_"))
 
 
 @pytest.mark.parametrize("bad", [

@@ -1,6 +1,7 @@
 """The columnar event table: generation, CSV write and parse, fit input."""
 
 import hashlib
+from itertools import repeat
 
 import numpy as np
 import pytest
@@ -12,6 +13,7 @@ import mesonosc as m
 REG = m.default_registry()
 K0 = REG.get_species("K0")
 HEADER = "t_left_s,t_right_s,flavor_left,flavor_right"
+COLUMNS = ("t_left", "t_right", "anti_left", "anti_right")
 
 # sha256 of events_to_csv(generate_events(sp, 0.27, 20000, 987654321)),
 # recorded while events were still a list of EventRecord rows written one
@@ -129,3 +131,132 @@ def test_csv_skips_blank_lines_and_line_end_whitespace():
     assert table == m.EventTable([1e-10, 3e-10], [2e-10, 0.0],
                                  [False, True], [True, True])
     assert len(m.events_from_csv(HEADER + "\n")) == 0
+
+
+def reference_events_from_csv(text: str) -> m.EventTable:
+    """The line-at-a-time parser that the byte-buffer parser replaced."""
+    header, _, body = text.partition("\n")
+    if header.strip() != HEADER:
+        raise ValueError("bad event file header")
+    rows = [line for line in map(str.strip, body.split("\n")) if line]
+    if set(map(str.count, rows, repeat(","))) - {3}:
+        raise ValueError("event rows need exactly four columns")
+    cells = ",".join(rows).split(",") if rows else []
+    codes = {*cells[2::4], *cells[3::4]}
+    if not codes <= {"P", "A"}:
+        raise ValueError(f"bad flavor code {min(codes - {'P', 'A'})!r}")
+    return m.EventTable(
+        np.array(cells[0::4], dtype=float),
+        np.array(cells[1::4], dtype=float),
+        [code == "A" for code in cells[2::4]],
+        [code == "A" for code in cells[3::4]],
+    )
+
+
+def parse_outcome(parse, text):
+    """Each column's dtype and bytes, or the exception's type and message."""
+    try:
+        table = parse(text)
+    except Exception as exc:  # compared, not handled
+        return type(exc), str(exc)
+    return [(getattr(table, name).dtype.str, getattr(table, name).tobytes())
+            for name in COLUMNS]
+
+
+# Times the writer makes, other spellings float() accepts, and cells longer
+# than the parser's 24-byte key (the 25-byte pair and the 41-byte pair agree
+# in their last 24 bytes); then cells that fail to parse or to validate.
+GOOD_TIMES = st.one_of(
+    st.floats(0.0, 1e-8).map("{:.12e}".format),
+    st.sampled_from([
+        "0", "1e-10", "5e-324", "-0.0", "１２", "1_0", " 1e-10", "1e-10 ",
+        "1.000000000000000000e-10", "2.000000000000000000e-10",
+        "1.0000000000000000000e-10", "2.0000000000000000000e-10",
+        "1" + "0" * 40, "2" + "0" * 40,
+    ]),
+)
+BAD_TIMES = st.sampled_from(["", "x", "é", "1 0", "nan", "inf", "-inf",
+                             "-1e-10"])
+BAD_CODES = st.sampled_from(["PX", "", " P", "é"])
+# what may surround a line; str.strip removes all of it
+PADDING = st.sampled_from(["", "", "", "\r", " ", "\t", "\xa0", "\u3000",
+                           "\x1c"])
+
+
+@st.composite
+def event_files(draw):
+    # the kinds of fault this file may hold; a file with none parses
+    faults = draw(st.sampled_from([(), ("times",), ("codes",), ("columns",),
+                                   ("times", "codes")]))
+    times = st.one_of(BAD_TIMES, GOOD_TIMES) if "times" in faults \
+        else GOOD_TIMES
+    codes = st.sampled_from("PA")
+    if "codes" in faults:
+        codes = st.one_of(BAD_CODES, codes)
+    lines = [HEADER + draw(PADDING)]
+    for _ in range(draw(st.integers(0, 8))):
+        if draw(st.integers(0, 5)) == 0:  # a blank or whitespace-only line
+            lines.append(draw(PADDING))
+            continue
+        cells = [draw(times), draw(times), draw(codes), draw(codes)]
+        if "columns" in faults and draw(st.booleans()):
+            if draw(st.booleans()):
+                cells.append(draw(codes))
+            else:
+                del cells[draw(st.integers(0, 3))]
+        lines.append(draw(PADDING) + ",".join(cells) + draw(PADDING))
+    newline = draw(st.sampled_from(["\n", "\r\n"]))
+    return newline.join(lines) + draw(st.sampled_from(["", newline]))
+
+
+@settings(max_examples=400, deadline=None, derandomize=True)
+@given(event_files())
+@example(f"{HEADER}\r\n1e-10,2e-10,P,A\xa0\r\n\u3000\r\n3e-10,1_0,A,P\x1c")
+@example(f"{HEADER}\n1e-10,2e-10,P,A,P\n4e-10,P,A\n")
+@example(f"{HEADER}\n2.0000000000000000000e-10,1.0000000000000000000e-10,P,A\n"
+         f"1.0000000000000000000e-10,2.0000000000000000000e-10,A,P\n")
+@example(HEADER)
+def test_parse_matches_reference_parser(text):
+    assert parse_outcome(m.events_from_csv, text) == \
+        parse_outcome(reference_events_from_csv, text)
+
+
+@pytest.mark.parametrize("space", [chr(c) for c in range(128)
+                                   if chr(c).isspace() and chr(c) != "\n"])
+def test_parse_strips_each_ascii_whitespace_like_reference_parser(space):
+    text = f"{HEADER}\n{space}1e-10,2e-10,P,A{space}\n{space}\n"
+    assert parse_outcome(m.events_from_csv, text) == \
+        parse_outcome(reference_events_from_csv, text)
+    assert len(m.events_from_csv(text)) == 1
+
+
+@pytest.mark.parametrize("name", sorted(GOLDEN_SHA256))
+def test_parse_of_generated_file_matches_reference_parser(name):
+    # 20000 events whose times repeat across rows and columns
+    events = m.generate_events(REG.get_species(name), 0.27, 20000, 11)
+    text = m.events_to_csv(events)
+    assert parse_outcome(m.events_from_csv, text) == \
+        parse_outcome(reference_events_from_csv, text)
+
+
+def test_parse_of_distinct_times_matches_reference_parser():
+    # 40000 time cells that are all different, as in a file written by
+    # another tool: no cell is shared, and more cells than hash slots
+    rng = np.random.default_rng(3)
+    rows = [f"{a!r},{b:.17e},{'PA'[c]},{'AP'[c]}" for a, b, c in
+            zip(rng.uniform(0, 1e-9, 20000).tolist(),
+                rng.uniform(0, 1e-9, 20000).tolist(),
+                rng.integers(0, 2, 20000).tolist())]
+    text = "\n".join([HEADER, *rows])
+    assert parse_outcome(m.events_from_csv, text) == \
+        parse_outcome(reference_events_from_csv, text)
+
+
+def test_first_bad_time_of_the_left_column_is_named():
+    # the right column's bad cell comes first in the file, but the left
+    # column is converted first
+    text = f"{HEADER}\n1e-10,y,P,A\n2e-10,3e-10,A,A\nx,4e-10,P,P\n"
+    with pytest.raises(ValueError, match="could not convert string to float: 'x'"):
+        m.events_from_csv(text)
+    assert parse_outcome(m.events_from_csv, text) == \
+        parse_outcome(reference_events_from_csv, text)
