@@ -137,74 +137,90 @@ def joint_probability(
     return prob if prob.ndim else float(prob)
 
 
-def _decay_envelopes(species: MesonSpecies, t_l: float, t_r: float):
-    hbar = CONSTANTS.hbar_mev_s
-    g_l = species.gamma_light / hbar
-    g_h = species.gamma_heavy / hbar
-    e1 = math.exp(-g_l * t_l - g_h * t_r)
-    e2 = math.exp(-g_h * t_l - g_l * t_r)
-    e_int = math.exp(-0.5 * (g_l + g_h) * (t_l + t_r))
-    return e1, e2, e_int
-
-
-def _oscillation_phase(species: MesonSpecies, dt: float, p: float) -> float:
+def _cos_phase(species: MesonSpecies, t_l, t_r, p: float):
+    """cos of the oscillation phase (E_heavy - E_light)(t_r - t_l)/hbar.
+    Raises OverflowError where the phase overflows, as pkj does."""
     de = energy_difference(species, Eigenstate.HEAVY, Eigenstate.LIGHT, p)
-    return de * dt / CONSTANTS.hbar_mev_s
+    try:
+        with np.errstate(over="raise"):
+            phase = de / CONSTANTS.hbar_mev_s * (t_r - t_l)
+    except FloatingPointError:
+        raise OverflowError(
+            "time differences overflow the oscillation phase") from None
+    return np.cos(phase)
+
+
+def _zeta_terms(species: MesonSpecies, t_l, t_r, p: float = 0.0):
+    """(e1 + e2, 2 cos(phase) e_int) of the antisymmetric pair at momentum
+    p, times broadcast against each other: the like-flavor probability is
+    (e1 + e2 - (1 - zeta) 2 cos e_int) / 8, the unlike one has a plus."""
+    g_l, g_h = species.rate_light(), species.rate_heavy()
+    # a decay exponent that overflows to -inf gives exp(...) = 0 exactly
+    with np.errstate(over="ignore"):
+        e1 = np.exp(-g_l * t_l - g_h * t_r)
+        e2 = np.exp(-g_h * t_l - g_l * t_r)
+        e_int = np.exp(-0.5 * (g_l + g_h) * (t_l + t_r))
+    return e1 + e2, 2.0 * _cos_phase(species, t_l, t_r, p) * e_int
+
+
+def _damped_pair(t_left, t_right, species, momentum, like_flavor, damping):
+    """Zeta-form probability with the interference term scaled by
+    damping(t_l, t_r); a float for scalar times."""
+    t_l, t_r = _times(t_left, ValueError), _times(t_right, ValueError)
+    envelope, interference = _zeta_terms(species, t_l, t_r, momentum)
+    with np.errstate(over="ignore"):
+        damp = damping(t_l, t_r)
+    sign = -1.0 if like_flavor else 1.0
+    prob = 0.125 * (envelope + sign * interference * damp)
+    return prob if prob.ndim else float(prob)
 
 
 def zeta_joint_probability(
-    t_left: float,
-    t_right: float,
+    t_left: float | np.ndarray,
+    t_right: float | np.ndarray,
     species: MesonSpecies,
     zeta: float,
     momentum: float = 0.0,
     like_flavor: bool = True,
-) -> float:
+):
     """Antisymmetric-state joint probability with the interference term
     multiplied by (1 - zeta).  zeta = 0 is undamped quantum mechanics,
-    zeta = 1 total decoherence.
+    zeta = 1 total decoherence.  Times are scalars or arrays as in
+    joint_probability.
 
     ``like_flavor`` selects same-flavor projections on both sides (minus
     interference sign) versus opposite flavors (plus sign).
     """
     if not 0.0 <= zeta <= 1.0:
         raise ValueError("zeta must be in [0, 1]")
-    if t_left < 0 or t_right < 0:
-        raise ValueError("times must be >= 0")
-    e1, e2, e_int = _decay_envelopes(species, t_left, t_right)
-    cos = math.cos(_oscillation_phase(species, t_right - t_left, momentum))
-    sign = -1.0 if like_flavor else 1.0
-    return 0.125 * (e1 + e2 + sign * 2.0 * cos * e_int * (1.0 - zeta))
+    return _damped_pair(t_left, t_right, species, momentum, like_flavor,
+                        lambda t_l, t_r: 1.0 - zeta)
 
 
 def min_time_joint_probability(
-    t_left: float,
-    t_right: float,
+    t_left: float | np.ndarray,
+    t_right: float | np.ndarray,
     species: MesonSpecies,
     lambda_two: float,
     momentum: float = 0.0,
     like_flavor: bool = True,
-) -> float:
+):
     """Same structure as the zeta model with (1 - zeta) replaced by
     exp(-lambda_two * min(t_left, t_right))."""
-    if lambda_two < 0:
-        raise ValueError("lambda_two must be >= 0")
-    if t_left < 0 or t_right < 0:
-        raise ValueError("times must be >= 0")
-    e1, e2, e_int = _decay_envelopes(species, t_left, t_right)
-    cos = math.cos(_oscillation_phase(species, t_right - t_left, momentum))
-    damp = math.exp(-lambda_two * min(t_left, t_right))
-    sign = -1.0 if like_flavor else 1.0
-    return 0.125 * (e1 + e2 + sign * 2.0 * cos * e_int * damp)
+    if not (math.isfinite(lambda_two) and lambda_two >= 0):
+        raise ValueError("lambda_two must be finite and >= 0")
+    return _damped_pair(
+        t_left, t_right, species, momentum, like_flavor,
+        lambda t_l, t_r: np.exp(-lambda_two * np.minimum(t_l, t_r)))
 
 
 def equal_width_joint_probability(
-    t_left: float,
-    t_right: float,
+    t_left: float | np.ndarray,
+    t_right: float | np.ndarray,
     species: MesonSpecies,
     momentum: float = 0.0,
     like_flavor: bool = True,
-) -> float:
+):
     """Undamped joint probability for species with (nearly) equal widths.
 
     (exp(-Gbar (t_l + t_r)/hbar) / 4) * {1 -+ cos[...(t_r - t_l)]} with
@@ -212,8 +228,7 @@ def equal_width_joint_probability(
     factorization (minus for like flavors, EPR zero at equal times), and
     the formula is cross-checked against joint_probability in the tests.
     """
-    if t_left < 0 or t_right < 0:
-        raise ValueError("times must be >= 0")
+    t_l, t_r = _times(t_left, ValueError), _times(t_right, ValueError)
     rel = abs(species.gamma_light - species.gamma_heavy) / max(
         species.gamma_light, species.gamma_heavy, 1e-300
     )
@@ -223,7 +238,10 @@ def equal_width_joint_probability(
             "is a poor approximation",
             stacklevel=2,
         )
-    gbar = 0.5 * (species.gamma_light + species.gamma_heavy) / CONSTANTS.hbar_mev_s
-    cos = math.cos(_oscillation_phase(species, t_right - t_left, momentum))
+    gbar = 0.5 * (species.rate_light() + species.rate_heavy())
+    cos = _cos_phase(species, t_l, t_r, momentum)
+    with np.errstate(over="ignore"):
+        envelope = np.exp(-gbar * (t_l + t_r))
     sign = -1.0 if like_flavor else 1.0
-    return 0.25 * math.exp(-gbar * (t_left + t_right)) * (1.0 + sign * cos)
+    prob = 0.25 * envelope * (1.0 + sign * cos)
+    return prob if prob.ndim else float(prob)

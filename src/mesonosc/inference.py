@@ -17,6 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .constants import CONSTANTS, MesonSpecies
+from .entangle import _zeta_terms
 from .oscillation import FlavorState
 
 # 90% quantile of chi^2 with one degree of freedom, for the
@@ -143,16 +144,9 @@ def _interference_fraction(
     The conditional like-flavor probability is (1 - a (1-zeta))/4 and the
     unlike-flavor one (1 + a (1-zeta))/4.
     """
-    hbar = CONSTANTS.hbar_mev_s
-    g_l = species.gamma_light / hbar
-    g_h = species.gamma_heavy / hbar
-    e1 = np.exp(-g_l * t_l - g_h * t_r)
-    e2 = np.exp(-g_h * t_l - g_l * t_r)
-    e_int = np.exp(-0.5 * (g_l + g_h) * (t_l + t_r))
-    dm = species.delta_m / hbar
-    cos = np.cos(dm * (t_r - t_l))
+    envelope, interference = _zeta_terms(species, t_l, t_r)
     # |a| <= 1 by AM-GM; clip away float round-off so log1p(-a) stays defined
-    return np.clip(2.0 * cos * e_int / (e1 + e2), -1.0, 1.0)
+    return np.clip(interference / envelope, -1.0, 1.0)
 
 
 def generate_events(
@@ -184,9 +178,7 @@ def generate_events(
     if time_grid.size == 0:
         raise ValueError("empty time grid")
 
-    hbar = CONSTANTS.hbar_mev_s
-    g_l = species.gamma_light / hbar
-    g_h = species.gamma_heavy / hbar
+    g_l, g_h = species.rate_light(), species.rate_heavy()
     weights = 0.5 * (np.exp(-g_l * time_grid) + np.exp(-g_h * time_grid))
     cdf = np.cumsum(weights)
     cdf /= cdf[-1]

@@ -5,13 +5,12 @@ over the full line, so every parametric family interpolates to the white
 (delta-correlated) limit as its correlation time goes to zero.  Any overall
 noise strength lives in the collapse coupling, never in the kernel.
 
-The two integrals that drive every damping exponent are
+The integral that drives every damping exponent is the growth integral
 
-    D(t)    = int_0^t f(s) (t - s) ds            (growth integral)
-    C(t, a) = 2 int_0^t cos(a s) f(s) (t - s) ds (cosine-weighted)
+    D(t) = int_0^t f(s) (t - s) ds
 
 with the one-sided delta carrying weight 1/2, so that the white-noise
-limits are D(t) = t/2 and C(t, a) = t exactly.
+limit is D(t) = t/2 exactly.
 """
 
 from __future__ import annotations
@@ -40,8 +39,8 @@ def _quad(*args, **kwargs):
 
 
 # scipy.integrate (and the optimizer package it imports) adds about 0.3 s
-# to the package import and only the quad fallbacks use it, so it is
-# imported on their first call
+# to the package import and only the quad fallback uses it, so it is
+# imported on its first call
 integrate = SimpleNamespace(quad=_quad)
 
 
@@ -60,7 +59,7 @@ def _times(t, error: type[ValueError] = KernelError) -> np.ndarray:
 
 class NoiseKernel:
     """Base class; concrete kernels implement ``correlation`` and may
-    override the integrals with closed forms."""
+    override the growth integral with a closed form."""
 
     def correlation(self, s: float) -> float:
         """Pointwise value f(|s|) in s^-1."""
@@ -82,28 +81,9 @@ class NoiseKernel:
         )
         return val
 
-    def cosine_weighted_integral(self, t: float, a: float) -> float:
-        """C(t, a) = 2 int_0^t cos(as) f(s)(t-s) ds, in seconds.
-
-        Uses QUADPACK's oscillation-aware cosine-weight rule for a != 0,
-        which subdivides in units of the oscillation period.
-        """
-        if t < 0:
-            raise KernelError("negative time")
-        if t == 0.0:
-            return 0.0
-        if a == 0.0:
-            return 2.0 * self.growth_integral(t)
-        val, _ = integrate.quad(
-            lambda s: self.correlation(s) * (t - s), 0.0, t,
-            weight="cos", wvar=abs(a),
-            epsrel=_QUAD_RTOL, epsabs=_QUAD_ATOL, limit=500,
-        )
-        return 2.0 * val
-
 
 class WhiteKernel(NoiseKernel):
-    """Delta-correlated noise.  Exists only through its integrals."""
+    """Delta-correlated noise.  Exists only through its growth integral."""
 
     def correlation(self, s: float) -> float:
         raise KernelError("white kernel has no pointwise correlation value")
@@ -111,11 +91,6 @@ class WhiteKernel(NoiseKernel):
     def growth_integral(self, t):
         d = 0.5 * _times(t)
         return d if d.ndim else float(d)
-
-    def cosine_weighted_integral(self, t: float, a: float) -> float:
-        if t < 0:
-            raise KernelError("negative time")
-        return float(t)
 
     def __repr__(self):
         return "WhiteKernel()"

@@ -217,10 +217,8 @@ def lindblad_density_matrix(
         raise ValueError("negative time")
     if lambda_single < 0:
         raise ValueError("lambda_single must be >= 0")
-    hbar = CONSTANTS.hbar_mev_s
-    g_l = species.gamma_light / hbar
-    g_h = species.gamma_heavy / hbar
-    phase = -species.delta_m * t / hbar
+    g_l, g_h = species.rate_light(), species.rate_heavy()
+    phase = -species.delta_m * t / CONSTANTS.hbar_mev_s
     off = 0.5 * np.exp(
         1j * phase - 0.5 * (g_l + g_h) * t - lambda_single * t
     )
@@ -245,9 +243,12 @@ def momentum_spread_diagnostic(r_c: float) -> dict:
         raise ValueError("r_c must be positive")
     hbar_c_mev_cm = CONSTANTS.hbar_mev_s * CONSTANTS.c_cm_s  # MeV cm
     p_hbar_ev = hbar_c_mev_cm / r_c * 1e6
+    p_h_ev = 2.0 * math.pi * p_hbar_ev
+    if not math.isfinite(p_h_ev):
+        raise OverflowError(f"r_c = {r_c:g} cm overflows h/r_C")
     return {
         "hbar_over_rc_ev_per_c": p_hbar_ev,
-        "h_over_rc_ev_per_c": 2.0 * math.pi * p_hbar_ev,
+        "h_over_rc_ev_per_c": p_h_ev,
         "note": "quoted literature value ~12 eV/c matches h/r_C, not hbar/r_C",
     }
 
@@ -260,11 +261,13 @@ def phase_magnitude_diagnostic(species: MesonSpecies, t: float) -> dict:
     """
     if not t >= 0:
         raise ValueError("t must be >= 0")
-    coeff_mev = t / (2.0 * CONSTANTS.hbar_mev_s) * species.delta_m / (
+    coeff_ev = t / (2.0 * CONSTANTS.hbar_mev_s) * species.delta_m / (
         species.m_light * species.m_heavy
-    )
+    ) * 1e-12
+    if not math.isfinite(coeff_ev):
+        raise OverflowError(f"t = {t:g} s overflows the phase coefficient")
     return {
-        "coefficient_per_ev2": coeff_mev * 1e-12,
+        "coefficient_per_ev2": coeff_ev,
         "reference_order_per_ev2": 2.7e-16,
         "note": "order-of-magnitude comparison only",
     }

@@ -216,9 +216,12 @@ def test_non_finite_packet_flags_are_usage_errors(tmp_path, argv):
     ["single", "--t-grid", "0:1e300:3"],
     ["single", "--t-grid", "0:1e300:3", "--no-decay"],
     ["joint", "--t-left", "0:1e300:3", "--t-right", "0:1e300:3"],
+    ["diag", "--r-c", "1e-320"],
+    ["diag", "--t", "1e308"],
 ])
 def test_overflowing_times_are_numeric_failure(tmp_path, argv):
-    # valid times whose phase overflows: no NaN rows, no RuntimeWarning
+    # valid input whose phase or diagnostic overflows: no NaN rows, no
+    # Infinity in JSON, no RuntimeWarning
     import warnings
     out = tmp_path / "big.csv"
     with warnings.catch_warnings():
@@ -344,6 +347,18 @@ def test_fit_runs_at_largest_seed(tmp_path):
     rc, out = run(["--seed", str(2**64 - 1)] + FIT_SMALL, tmp_path, "fit.json")
     assert rc == 0
     assert json.loads(out.read_text())["n_events"] == 500
+
+
+def test_fit_event_whose_phase_overflows_is_numeric_failure(tmp_path):
+    import mesonosc as m
+    lines = m.events_to_csv(m.generate_events(
+        m.default_registry().get_species("K0"), 0.3, 500, 2)).splitlines()
+    lines.insert(250, "1e300,1e-10,P,A")
+    events = tmp_path / "events.csv"
+    events.write_text("\n".join(lines) + "\n")
+    rc, _ = run(["fit", "--events", str(events)], tmp_path, "fit.json")
+    assert rc == 4
+    assert list(tmp_path.iterdir()) == [events]
 
 
 def test_fit_that_does_not_converge_is_numeric_failure(tmp_path, monkeypatch):

@@ -1,7 +1,10 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import mesonosc as m
 from mesonosc.oscillation import FlavorState
@@ -66,9 +69,9 @@ def test_damping_factorizes_over_the_two_sides():
     damped = m.joint_probability(
         PSI_MINUS, UNLIKE, m.JointQuery(tl, tr, K0, spec=spec)
     )
-    e1, e2, _ = m.entangle._decay_envelopes(K0, tl, tr)
-    interference_free = free - 0.125 * (e1 + e2)
-    interference_damped = damped - 0.125 * (e1 + e2)
+    envelope, _ = m.entangle._zeta_terms(K0, tl, tr)
+    interference_free = free - 0.125 * envelope
+    interference_damped = damped - 0.125 * envelope
     assert interference_damped == pytest.approx(
         interference_free * math.exp(-lam * (tl + tr)), rel=1e-9
     )
@@ -98,9 +101,9 @@ def test_outcome_completeness_sum():
 
 def test_zeta_one_kills_interference():
     tl, tr = 2e-10, 6e-10
-    e1, e2, _ = m.entangle._decay_envelopes(K0, tl, tr)
+    envelope, _ = m.entangle._zeta_terms(K0, tl, tr)
     assert m.zeta_joint_probability(tl, tr, K0, 1.0) == pytest.approx(
-        0.125 * (e1 + e2), rel=1e-14
+        0.125 * envelope, rel=1e-14
     )
 
 
@@ -141,8 +144,8 @@ def test_interference_sign_convention():
     # like flavors are suppressed below, unlike enhanced above, the
     # incoherent level when the oscillation phase vanishes
     tl = tr = 3e-10
-    e1, e2, e_int = m.entangle._decay_envelopes(K0, tl, tr)
-    base = 0.125 * (e1 + e2)
+    envelope, _ = m.entangle._zeta_terms(K0, tl, tr)
+    base = 0.125 * envelope
     assert m.zeta_joint_probability(tl, tr, K0, 0.0, like_flavor=True) < base
     assert m.zeta_joint_probability(tl, tr, K0, 0.0, like_flavor=False) > base
 
@@ -154,3 +157,59 @@ def test_invalid_inputs_raise():
         m.zeta_joint_probability(1e-10, 1e-10, K0, 1.5)
     with pytest.raises(ValueError):
         m.min_time_joint_probability(1e-10, 1e-10, K0, -1.0)
+    for bad in (math.nan, math.inf):
+        with pytest.raises(ValueError):
+            m.min_time_joint_probability(1e-10, 1e-10, K0, bad)
+        with pytest.raises(ValueError):
+            m.zeta_joint_probability(bad, 0.0, K0, 0.0)
+        with pytest.raises(ValueError):
+            m.min_time_joint_probability(0.0, [1e-10, bad], K0, 0.0)
+        with pytest.raises(ValueError):
+            m.equal_width_joint_probability(bad, 0.0, B0)
+    with pytest.raises(ValueError):
+        m.zeta_joint_probability([1e-10, -1e-10], 0.0, K0, 0.0)
+
+
+def test_closed_forms_at_huge_times():
+    # an overflowing decay exponent gives 0 without a RuntimeWarning; an
+    # overflowing phase raises, as in pkj
+    big = [1e300, 1e308]
+    for form, args in ((m.zeta_joint_probability, (0.0,)),
+                       (m.min_time_joint_probability, (1e300,)),
+                       (m.equal_width_joint_probability, ())):
+        assert form(1e300, 1e300, B0, *args) == 0.0
+        assert np.array_equal(form(big, big, B0, *args), [0.0, 0.0])
+        with pytest.raises(OverflowError):
+            form(1e300, 0.0, B0, *args)
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(
+    sp=st.sampled_from([REG.get_species(n) for n in ("K0", "B0", "Bs", "D0")]),
+    p_frac=st.sampled_from([0.0, 0.2, 1.0]),
+    pairs=st.lists(st.tuples(st.floats(0.0, 12.0), st.floats(0.0, 12.0)),
+                   min_size=1, max_size=8),
+    zeta=st.floats(0.0, 1.0),
+)
+def test_closed_forms_are_array_native(sp, p_frac, pairs, zeta):
+    # times up to 12 light lifetimes, momenta up to the light mass
+    tau = HBAR / sp.gamma_light
+    tl, tr = (tau * np.array(col) for col in zip(*pairs))
+    p = p_frac * sp.m_light
+    lam = zeta / tau
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", UserWarning)   # equal-width on K0
+        for proj, like in ((LIKE_PP, True), (UNLIKE, False)):
+            zeta0 = m.zeta_joint_probability(tl, tr, sp, 0.0, p, like)
+            general = m.joint_probability(
+                PSI_MINUS, proj, m.JointQuery(tl, tr, sp, momentum=p))
+            np.testing.assert_allclose(zeta0, general, rtol=0.0, atol=1e-15)
+            assert np.array_equal(
+                m.min_time_joint_probability(tl, tr, sp, 0.0, p, like), zeta0)
+            for form, args in ((m.zeta_joint_probability, (zeta,)),
+                               (m.min_time_joint_probability, (lam,)),
+                               (m.equal_width_joint_probability, ())):
+                scalars = [form(a, b, sp, *args, p, like)
+                           for a, b in zip(tl.tolist(), tr.tolist())]
+                assert all(type(x) is float for x in scalars)
+                assert np.array_equal(form(tl, tr, sp, *args, p, like), scalars)

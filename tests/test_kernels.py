@@ -15,17 +15,9 @@ from mesonosc.kernels import (
 )
 
 
-def brute_force_cosine_integral(kernel, t, a, n=1_000_000):
-    """Independent trapezoid evaluation of 2 int_0^t cos(as) f(s)(t-s) ds."""
-    s = np.linspace(0.0, t, n + 1)
-    f = np.array([kernel.correlation(x) for x in s])
-    return 2.0 * np.trapezoid(np.cos(a * s) * f * (t - s), s)
-
-
 def test_white_integrals_exact():
     w = WhiteKernel()
     assert w.growth_integral(2.0) == 1.0
-    assert w.cosine_weighted_integral(2.0, 123.0) == 2.0
     assert w.growth_integral(0.0) == 0.0
 
 
@@ -71,30 +63,6 @@ def test_gaussian_kernel_normalized():
     # for t >> tau, D(t) -> t/2 - tau/sqrt(2 pi) exactly (unit-normalized f)
     expected = 2.5 - tau / math.sqrt(2.0 * math.pi)
     assert k.growth_integral(5.0) == pytest.approx(expected, rel=1e-8)
-
-
-def test_cosine_weighted_against_brute_force():
-    k = ExponentialKernel(tau=0.5)
-    t, a = 2.0, 10.0
-    val = k.cosine_weighted_integral(t, a)
-    ref = brute_force_cosine_integral(k, t, a)
-    assert val == pytest.approx(ref, rel=1e-6)
-
-
-def test_cosine_weighted_zero_frequency_reduces_to_growth():
-    k = GaussianKernel(tau=0.4)
-    assert k.cosine_weighted_integral(1.5, 0.0) == pytest.approx(
-        2.0 * k.growth_integral(1.5), rel=1e-9
-    )
-
-
-@pytest.mark.filterwarnings("ignore::scipy.integrate.IntegrationWarning")
-def test_cosine_weighted_highly_oscillatory():
-    k = ExponentialKernel(tau=0.5)
-    t, a = 2.0, 5000.0
-    val = k.cosine_weighted_integral(t, a)
-    ref = brute_force_cosine_integral(k, t, a, n=2_000_000)
-    assert val == pytest.approx(ref, rel=1e-4, abs=1e-12)
 
 
 def test_tabulated_matches_sampled_exponential():
