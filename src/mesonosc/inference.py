@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .constants import CONSTANTS, MesonSpecies
-from .entangle import _zeta_terms
+from .entangle import _cos_phase, _zeta_terms
 from .oscillation import FlavorState
 
 # 90% quantile of chi^2 with one degree of freedom, for the
@@ -145,8 +145,16 @@ def _interference_fraction(
     unlike-flavor one (1 + a (1-zeta))/4.
     """
     envelope, interference = _zeta_terms(species, t_l, t_r)
+    lost = envelope < np.finfo(float).tiny
+    a = np.divide(interference, envelope, out=np.zeros_like(envelope),
+                  where=~lost)
+    if lost.any():  # both envelopes underflow: a = cos(phase) / cosh(x)
+        t_l, t_r = t_l[lost], t_r[lost]
+        x = 0.5 * (species.rate_light() - species.rate_heavy()) * (t_r - t_l)
+        with np.errstate(over="ignore"):  # 0 where cosh(x) overflows
+            a[lost] = _cos_phase(species, t_l, t_r, 0.0) / np.cosh(x)
     # |a| <= 1 by AM-GM; clip away float round-off so log1p(-a) stays defined
-    return np.clip(interference / envelope, -1.0, 1.0)
+    return np.clip(a, -1.0, 1.0)
 
 
 def generate_events(
@@ -342,39 +350,35 @@ def lambda_ratio(lam: float, species: MesonSpecies) -> float:
     return lam * CONSTANTS.hbar_mev_s / species.gamma_light
 
 
-# flavor pair suffix of a row, indexed by 2 anti_left + anti_right
-_PAIR_CELLS = (",P,P", ",P,A", ",A,P", ",A,A")
+# the end of a row after its right time, indexed by 2 anti_left + anti_right
+_PAIR_CELLS = np.array([",P,P\n", ",P,A\n", ",A,P\n", ",A,A\n"], dtype=object)
 
 
 def events_to_csv(events: EventTable | Iterable[EventRecord]) -> str:
     """The event file: a header, then one row per event with both times as
     %.12e and both flavors as P or A.
 
-    Each distinct time is formatted once.  Generated events draw their
-    times from a grid (400 points by default), so a file of any length
-    holds a few hundred distinct times.
+    Each distinct time is formatted once, and rows are joined from shared
+    pieces (left time and comma, right time, flavor pair and newline).
+    Generated events draw their times from a grid (400 points by default),
+    so a file of any length holds a few hundred distinct times.
     """
     events = _table(events)
     n = len(events)
     times = np.concatenate((events.t_left, events.t_right))
     # unique by bit pattern, so -0.0 keeps its sign
     bits, inverse = np.unique(times.view(np.int64), return_inverse=True)
-    cells = [f"{x:.12e}" for x in bits.view(np.float64).tolist()]
-    left_cells = [cell + "," for cell in cells]
-    index = inverse.tolist()
-    pairs = (2 * events.anti_left + events.anti_right).tolist()
-    lines = [_HEADER]
-    lines += map("".join, zip(map(left_cells.__getitem__, index[:n]),
-                              map(cells.__getitem__, index[n:]),
-                              map(_PAIR_CELLS.__getitem__, pairs)))
-    lines.append("")
-    return "\n".join(lines)
+    cells = np.array([f"{x:.12e}" for x in bits.view(np.float64).tolist()],
+                     dtype=object)
+    pieces = np.empty(3 * n, dtype=object)
+    pieces[0::3] = (cells + ",")[inverse[:n]]
+    pieces[1::3] = cells[inverse[n:]]
+    pieces[2::3] = _PAIR_CELLS[2 * events.anti_left + events.anti_right]
+    return _HEADER + "\n" + "".join(pieces.tolist())
 
 
 # the characters other than "\n" that str.strip removes from an ASCII line
 _ASCII_WHITESPACE = "\t\x0b\x0c\r\x1c\x1d\x1e\x1f "
-# the separators of a row, in order
-_ROW_SEPARATORS = np.frombuffer(b",,,\n", np.uint8)
 # A time cell of at most _KEY_BYTES bytes is keyed by those bytes, taken
 # from the window of _KEY_BYTES bytes that ends where the cell ends and
 # masked by _KEY_MASKS[n], which keeps the last n bytes of a window.
@@ -395,24 +399,20 @@ def _row_bounds(buf: np.ndarray, offset: int) -> np.ndarray:
 
     buf[offset - 1] is the header's newline, and every line ends with a
     newline.  Raises ValueError unless each non-blank line holds exactly
-    three commas.
+    three commas.  The newlines' places among the commas count the commas
+    per line; then the commas, three at a time, are the rows' commas.
     """
-    tail = buf[offset - 1:]
-    is_sep = tail == ord(",")
-    is_sep |= tail == ord("\n")
-    sep = np.flatnonzero(is_sep) + (offset - 1)
-    del is_sep
-    kind = buf[sep]
-    # skip the header's newline (the first separator) and each newline
-    # right after a newline, which ends a blank line
-    rows = np.flatnonzero((kind != ord("\n")) | (buf[sep - 1] != ord("\n")))[1:]
-    if rows.size % 4 or np.any(kind[rows].reshape(-1, 4) != _ROW_SEPARATORS):
+    body = buf[offset - 1:]
+    newline = np.flatnonzero(body == ord("\n")) + (offset - 1)
+    comma = np.flatnonzero(body == ord(",")) + (offset - 1)
+    # line i runs from newline[i] to newline[i + 1]; blank lines are empty
+    filled = np.diff(newline) > 1
+    if np.any(np.diff(np.searchsorted(comma, newline)) != 3 * filled):
         raise ValueError("event rows need exactly four columns")
-    bounds = np.empty((rows.size // 4, 5), np.intp)
-    # the separator before a row's first comma is the newline that ends
-    # the line above
-    bounds[:, 0] = sep[rows[0::4] - 1] + 1
-    bounds[:, 1:] = sep[rows].reshape(-1, 4)
+    bounds = np.empty((comma.size // 3, 5), np.intp)
+    bounds[:, 0] = newline[:-1][filled] + 1
+    bounds[:, 1:4] = comma.reshape(-1, 3)
+    bounds[:, 4] = newline[1:][filled]
     return bounds
 
 

@@ -173,8 +173,11 @@ class TabulatedKernel(NoiseKernel):
         if t == 0.0:
             return 0.0
         # f is piecewise linear, so f(s)(t-s) is piecewise quadratic and
-        # per-segment Simpson is exact
-        edges = np.concatenate(([0.0], self.s[(self.s > 0.0) & (self.s < t)], [t]))
+        # per-segment Simpson is exact; f = 0 past the last sample, so the
+        # integral ends there
+        end = min(t, self.s[-1])
+        edges = np.concatenate(
+            ([0.0], self.s[(self.s > 0.0) & (self.s < end)], [end]))
         a, b = edges[:-1], edges[1:]
         mid = 0.5 * (a + b)
         def g(x):

@@ -75,6 +75,8 @@ def energy_difference(species: MesonSpecies, j: Eigenstate, k: Eigenstate,
     de = species.delta_m - 0.5 * p * p * species.delta_m / (
         species.m_light * species.m_heavy
     )
+    if not math.isfinite(de):
+        raise OverflowError(f"momentum {p:g} MeV/c overflows the energy splitting")
     return de if j is Eigenstate.HEAVY else -de
 
 
@@ -101,7 +103,11 @@ def _effective_mass_difference(species: MesonSpecies, p: float) -> float:
     """
     mass = species.m_light
     e2 = mass * mass + p * p
-    return species.delta_m * mass * (mass * mass + 2.0 * p * p) / e2**1.5
+    dm_eff = species.delta_m * mass * (mass * mass + 2.0 * p * p) / e2**1.5
+    if not math.isfinite(dm_eff):
+        raise OverflowError(
+            f"momentum {p:g} MeV/c overflows the effective mass splitting")
+    return dm_eff
 
 
 def csl_damping_rate_relativistic(
@@ -127,7 +133,9 @@ def damping_exponent(
     if j is k or isinstance(spec, NoDamping):
         exponent = np.zeros_like(t)
     elif isinstance(spec, LindbladDamping):
-        exponent = spec.lambda_single * t
+        # an exponent that overflows to inf damps the factor to exactly 0
+        with np.errstate(over="ignore"):
+            exponent = spec.lambda_single * t
     elif isinstance(spec, CslDamping):
         rate = (csl_damping_rate_relativistic(spec.params, species, spec.momentum)
                 if spec.relativistic else csl_damping_rate(spec.params, species))

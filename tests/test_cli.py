@@ -218,10 +218,12 @@ def test_non_finite_packet_flags_are_usage_errors(tmp_path, argv):
     ["joint", "--t-left", "0:1e300:3", "--t-right", "0:1e300:3"],
     ["diag", "--r-c", "1e-320"],
     ["diag", "--t", "1e308"],
+    ["single", "--momentum", "1e200"],
+    ["single", "--model", "csl", "--relativistic", "--momentum", "1e200"],
 ])
 def test_overflowing_times_are_numeric_failure(tmp_path, argv):
-    # valid input whose phase or diagnostic overflows: no NaN rows, no
-    # Infinity in JSON, no RuntimeWarning
+    # valid input whose phase, energy splitting or diagnostic overflows: no
+    # NaN rows, no Infinity in JSON, no RuntimeWarning
     import warnings
     out = tmp_path / "big.csv"
     with warnings.catch_warnings():
@@ -235,9 +237,12 @@ def test_overflowing_times_are_numeric_failure(tmp_path, argv):
     ["single", "--species", "D0", "--t-grid", "0:1e297:3"],
     ["joint", "--species", "K0", "--t-left", "0:2e298:3",
      "--t-right", "0:2e298:3"],
+    ["single", "--model", "lindblad", "--lambda-single", "1e308",
+     "--t-grid", "0:10:3"],
 ])
 def test_overflowing_decay_alone_gives_zero_probabilities(tmp_path, argv):
-    # the decay exponent overflows but the phase does not: exp(-inf) is 0
+    # the decay or damping exponent overflows but the phase does not:
+    # exp(-inf) is 0
     import warnings
     out = tmp_path / "big.csv"
     with warnings.catch_warnings():
@@ -359,6 +364,25 @@ def test_fit_event_whose_phase_overflows_is_numeric_failure(tmp_path):
     rc, _ = run(["fit", "--events", str(events)], tmp_path, "fit.json")
     assert rc == 4
     assert list(tmp_path.iterdir()) == [events]
+
+
+def test_fit_event_whose_envelopes_underflow_gives_finite_json(tmp_path):
+    # at t = 1e-7 s (a plausible K_L decay time) both decay envelopes of
+    # the pair underflow; the likelihood must stay finite
+    import warnings
+    import mesonosc as m
+    lines = m.events_to_csv(m.generate_events(
+        m.default_registry().get_species("K0"), 0.3, 300, 2)).splitlines()
+    lines.insert(150, "1e-7,1e-7,P,P")
+    events = tmp_path / "events.csv"
+    events.write_text("\n".join(lines) + "\n")
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        rc, out = run(["fit", "--events", str(events)], tmp_path, "fit.json")
+    assert rc == 0
+    result = json.loads(out.read_text())
+    assert result["n_events"] == 301
+    assert all(math.isfinite(v) for v in result.values())
 
 
 def test_fit_that_does_not_converge_is_numeric_failure(tmp_path, monkeypatch):

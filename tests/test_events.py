@@ -66,6 +66,31 @@ def test_csv_matches_row_writer_and_parses_like_float(rows):
     assert back.anti_right.tolist() == cols[3]
 
 
+# times that survive %.12e unchanged: 3-digit exponents, signed zeros,
+# subnormals, and any float once rounded to 13 significant digits
+EXACT_TIMES = st.one_of(
+    st.sampled_from([0.0, -0.0, 1e-300, 1e150, 5e-324, 2.5e-310,
+                     1.797693134862e308]),
+    st.floats(min_value=0.0, allow_nan=False, allow_infinity=False).map(
+        lambda x: float(f"{x:.12e}")),
+)
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(st.lists(st.tuples(EXACT_TIMES, EXACT_TIMES, st.booleans(),
+                          st.booleans()), max_size=40))
+@example([(1e-300, 1e150, False, True), (-0.0, 0.0, True, True),
+          (1e150, -0.0, False, False)])
+def test_csv_round_trip_is_bitwise(rows):
+    cols = [list(c) for c in zip(*rows)] or [[], [], [], []]
+    table = m.EventTable(*cols)
+    back = m.events_from_csv(m.events_to_csv(table))
+    for name in COLUMNS:
+        got, want = getattr(back, name), getattr(table, name)
+        assert got.dtype == want.dtype
+        assert got.tobytes() == want.tobytes()
+
+
 def test_table_rows_behave_like_records():
     table = m.generate_events(K0, 0.3, 300, seed=4)
     rows = list(table)
@@ -123,6 +148,35 @@ def test_csv_checks_columns_per_row():
     # two good rows
     with pytest.raises(ValueError, match="four columns"):
         m.events_from_csv(f"{HEADER}\n1e-10,2e-10,P,A,3e-10\n4e-10,P,A\n")
+
+
+TWO_ROWS = [[1e-10, 3e-10], [2e-10, 4e-10], [True, False], [False, False]]
+
+
+@pytest.mark.parametrize("body, outcome", [
+    # a row of empty cells has four columns; its flavor codes are empty
+    ("1e-10,2e-10,A,P\n,,,\n", "bad flavor code ''"),
+    (",,,\n1e-10,2e-10,A,P\n", "bad flavor code ''"),
+    ("1e-10,2e-10,A,P\n,,,", "bad flavor code ''"),
+    ("1e-10,2e-10,A,P\n,\n", "event rows need exactly four columns"),
+    ("1e-10,2e-10,A,P\n,,,,\n", "event rows need exactly four columns"),
+    ("1e-10,2e-10,A,P\nabc\n", "event rows need exactly four columns"),
+    ("1e-10,2e-10,A,P,\n", "event rows need exactly four columns"),
+    (",1e-10,2e-10,A\n", "bad flavor code '2e-10'"),
+    # blank and whitespace-only lines between rows, no final newline
+    ("1e-10,2e-10,A,P\n \t\n3e-10,4e-10,P,P\n", TWO_ROWS),
+    ("1e-10,2e-10,A,P\n\n\n3e-10,4e-10,P,P", TWO_ROWS),
+    ("1e-10,2e-10,A,P\n3e-10,4e-10,P,P", TWO_ROWS),
+    ("\n", [[], [], [], []]),
+])
+def test_row_finder_edge_cases(body, outcome):
+    text = f"{HEADER}\n{body}"
+    if isinstance(outcome, str):
+        with pytest.raises(ValueError) as info:
+            m.events_from_csv(text)
+        assert str(info.value) == outcome
+    else:
+        assert m.events_from_csv(text) == m.EventTable(*outcome)
 
 
 def test_csv_skips_blank_lines_and_line_end_whitespace():

@@ -234,6 +234,25 @@ def test_lambda_ratio_dimensionless():
     assert ratio == pytest.approx(lam * 8.95e-11, rel=1e-9)
 
 
+def test_interference_fraction_where_envelopes_underflow():
+    # at K_L decay times both decay envelopes underflow, but their ratio
+    # to the interference term is cos(phase) / cosh(...), which does not
+    mpmath = pytest.importorskip("mpmath")
+    t_l = np.array([1e-7, 1e-7, 2e-7, 0.0, 1e-5])
+    t_r = np.array([1e-7, 1.0000001e-7, 1e-7, 1e-7, 3e-8])
+    got = inference._interference_fraction(K0, t_l, t_r)
+    g_l, g_h = K0.rate_light(), K0.rate_heavy()
+    omega = K0.delta_m / m.CONSTANTS.hbar_mev_s
+    assert got[0] == 1.0
+    with mpmath.workdps(40):
+        for tl, tr, a in zip(t_l.tolist(), t_r.tolist(), got.tolist()):
+            e1 = mpmath.exp(-g_l * mpmath.mpf(tl) - g_h * mpmath.mpf(tr))
+            e2 = mpmath.exp(-g_h * mpmath.mpf(tl) - g_l * mpmath.mpf(tr))
+            e_int = mpmath.exp(-(g_l + g_h) * (mpmath.mpf(tl) + tr) / 2)
+            ref = 2 * mpmath.cos(omega * (tr - tl)) * e_int / (e1 + e2)
+            assert abs(a - ref) <= 1e-10 * abs(ref) + 1e-300
+
+
 def test_event_csv_round_trip():
     events = m.generate_events(K0, 0.2, 250, seed=9)
     text = m.events_to_csv(events)

@@ -76,6 +76,40 @@ def test_tabulated_matches_sampled_exponential():
         )
 
 
+def test_tabulated_growth_stops_at_last_sample():
+    # f = 0 past the table, so D(2) = int_0^1 (2 - s) ds
+    assert TabulatedKernel([0.0, 1.0], [1.0, 1.0]).growth_integral(2.0) == 1.5
+
+
+def test_tabulated_growth_integral_matches_mpmath():
+    # a random table whose first sample is past 0 and whose last is not 0,
+    # at times inside it, at its knots and past its end
+    mpmath = pytest.importorskip("mpmath")
+    rng = np.random.default_rng(19)
+    s = np.sort(rng.uniform(0.1, 5.0, 19))
+    f = rng.uniform(0.0, 2.0, 19)
+    times = np.concatenate((rng.uniform(0.0, s[-1], 6), s[::3],
+                            s[-1] * np.array([1.0, 1.5, 3.0, 100.0])))
+    got = TabulatedKernel(s, f).growth_integral(times)
+    with mpmath.workdps(30):
+        knots = [mpmath.mpf(x) for x in s.tolist()]
+        values = [mpmath.mpf(x) for x in f.tolist()]
+
+        def correlation(x):
+            if x <= knots[0]:
+                return values[0]
+            for a, b, fa, fb in zip(knots, knots[1:], values, values[1:]):
+                if x <= b:
+                    return fa + (fb - fa) * (x - a) / (b - a)
+            return mpmath.mpf(0)
+
+        for t, d in zip(times.tolist(), got.tolist()):
+            end = min(mpmath.mpf(t), knots[-1])
+            ref = mpmath.quad(lambda x: correlation(x) * (t - x),
+                              [0, *[k for k in knots if k < end], end])
+            assert abs(d - ref) <= 1e-13 * ref
+
+
 def test_tabulated_even_extension_and_cutoff():
     tab = TabulatedKernel([0.0, 1.0, 2.0], [1.0, 0.5, 0.0])
     assert tab.correlation(-1.0) == tab.correlation(1.0) == 0.5

@@ -226,3 +226,11 @@ def test_non_finite_inputs_raise():
         m.CslDamping(params=STRONG, momentum=math.nan)
     with pytest.raises(ValueError):
         m.energy_difference(K0, Eigenstate.HEAVY, Eigenstate.LIGHT, p=math.inf)
+
+
+def test_momentum_whose_splitting_overflows_raises():
+    # a finite momentum whose square overflows gives no finite splitting
+    with pytest.raises(OverflowError):
+        m.energy_difference(K0, Eigenstate.HEAVY, Eigenstate.LIGHT, p=1e200)
+    with pytest.raises(OverflowError):
+        m.csl_damping_rate_relativistic(STRONG, K0, 1e200)
