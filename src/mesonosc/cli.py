@@ -49,7 +49,7 @@ from .oscillation import (
     phase_magnitude_diagnostic,
     transition_probability,
 )
-from .wavepackets import GaussianPacket, suppression_ratio
+from .wavepackets import GaussianPacket, separation, suppression_ratio
 
 EXIT_OK = 0
 EXIT_USAGE = 2
@@ -252,10 +252,9 @@ def cmd_overlap(args, reg: Registry) -> str:
     _finite(sigma=args.sigma, r_c=args.r_c)
     left = GaussianPacket(0.0, args.sigma, -args.speed)
     right = GaussianPacket(0.0, args.sigma, args.speed)
-    rows = []
-    for t in _grid(args.t_grid):
-        d = abs(left.speed - right.speed) * t
-        rows.append((t, d, suppression_ratio(t, left, right, args.r_c)))
+    rows = [(t, separation(t, left, right),
+             suppression_ratio(t, left, right, args.r_c))
+            for t in _grid(args.t_grid)]
     return _csv(["t_s", "separation_cm", "suppression_ratio"], rows)
 
 

@@ -21,11 +21,21 @@ Trajectories come in fixed blocks of BLOCK; block b fills its rows in order
 from one counter-based Philox substream keyed by (seed, b) (Salmon et al.,
 SC 2011).  A processing chunk holds whole blocks and each row is reduced on
 its own, so a fixed seed gives bitwise identical results at any chunk size.
+
+Chunks are split across one thread per usable CPU.  That cannot change a
+bit either: a block's normals depend only on its key, not on the thread or
+the order it is drawn in; each thread writes the cosines of its own rows
+into a disjoint slice; and the mean and standard error are taken over the
+whole array in the calling thread, as in the serial loop.  The threads'
+buffers together are no larger than one serial chunk, and a run of one
+chunk starts no thread.
 """
 
 from __future__ import annotations
 
 import math
+import os
+import threading
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -34,6 +44,9 @@ from .kernels import ExponentialKernel, NoiseKernel, WhiteKernel
 
 BLOCK = 256          # trajectories per Philox key
 _CHUNK = 16 * BLOCK  # trajectories per processing chunk; a multiple of BLOCK
+# worker threads: one per CPU this process may run on
+_WORKERS = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
+            else os.cpu_count() or 1)
 
 
 class PlanError(ValueError):
@@ -136,18 +149,47 @@ def simulate_damping(gamma_j: float, gamma_k: float, f0: float, t: float,
         return OracleResult(1.0, 0.0, prediction)
     w = _phase_weights(plan, f0)
     n = plan.n_trajectories
+    rows = min(_CHUNK, n)
+    workers = max(1, min(_WORKERS, rows // BLOCK))
+    # the workers' chunks shrink so that their buffers together hold at most
+    # one serial chunk; each is a whole number of blocks
+    chunk = rows if workers == 1 else rows // workers // BLOCK * BLOCK
     cos_vals = np.empty(n, dtype=float)
-    z = np.empty((min(_CHUNK, n), w.size), dtype=float)
-    for lo in range(0, n, _CHUNK):
-        hi = min(lo + _CHUNK, n)
-        for start in range(lo, hi, BLOCK):
-            # as uint64 words: from a Python list numpy changes seeds >= 2**63
-            key = np.array([plan.seed, start // BLOCK], dtype=np.uint64)
-            rng = np.random.Generator(np.random.Philox(key=key))
-            rng.standard_normal(out=z[start - lo:min(start + BLOCK, hi) - lo])
-        # einsum reduces each row on its own; a threaded BLAS matmul splits
-        # rows by chunk size and can change the last bits
-        cos_vals[lo:hi] = np.cos(coupling * np.einsum("ij,j->i", z[:hi - lo], w))
+    z = np.empty((workers, chunk, w.size), dtype=float)
+    errors = []
+
+    def fill(buf, starts):
+        # numpy calls only: fills release the GIL, and no mesonosc function
+        # runs off the calling thread
+        try:
+            for lo in starts:
+                if errors:
+                    return
+                hi = min(lo + chunk, n)
+                for start in range(lo, hi, BLOCK):
+                    # as uint64 words: from a Python list numpy changes
+                    # seeds >= 2**63
+                    key = np.array([plan.seed, start // BLOCK], dtype=np.uint64)
+                    rng = np.random.Generator(np.random.Philox(key=key))
+                    rng.standard_normal(out=buf[start - lo:min(start + BLOCK, hi) - lo])
+                # einsum reduces each row on its own; a threaded BLAS matmul
+                # splits rows by chunk size and can change the last bits
+                cos_vals[lo:hi] = np.cos(
+                    coupling * np.einsum("ij,j->i", buf[:hi - lo], w))
+        except BaseException as exc:
+            errors.append(exc)
+
+    # worker k takes chunks k, k + workers, ...; the calling thread is
+    # worker 0, so one worker starts no thread
+    jobs = [(z[k], range(k * chunk, n, workers * chunk)) for k in range(workers)]
+    threads = [threading.Thread(target=fill, args=job) for job in jobs[1:]]
+    for thread in threads:
+        thread.start()
+    fill(*jobs[0])
+    for thread in threads:
+        thread.join()
+    if errors:
+        raise errors[0]
 
     mean = float(np.mean(cos_vals))
     std_err = float(np.std(cos_vals, ddof=1) / math.sqrt(n))

@@ -103,7 +103,14 @@ def _effective_mass_difference(species: MesonSpecies, p: float) -> float:
     """
     mass = species.m_light
     e2 = mass * mass + p * p
-    dm_eff = species.delta_m * mass * (mass * mass + 2.0 * p * p) / e2**1.5
+    num = species.delta_m * mass * (mass * mass + 2.0 * p * p)
+    try:
+        dm_eff = num / e2**1.5
+    except OverflowError:
+        # e2**1.5 overflows from p ~ 1e102 MeV/c although the splitting,
+        # ~2 delta_m m / p, is finite; staged only here, since at p = 0 it
+        # moves the value by one ulp
+        dm_eff = num / e2 / math.sqrt(e2)
     if not math.isfinite(dm_eff):
         raise OverflowError(
             f"momentum {p:g} MeV/c overflows the effective mass splitting")

@@ -54,19 +54,33 @@ def cross_term_kernel_overlap(
     return axial * transverse * transverse
 
 
+def separation(t: float, left: GaussianPacket, right: GaussianPacket) -> float:
+    """Packet separation d(t) = |(c_l - c_r) + (v_l - v_r) t| [cm].
+
+    Raises OverflowError when the relative speed or d is not finite.
+    """
+    if t < 0:
+        raise ValueError("negative time")
+    speed = left.speed - right.speed
+    if not math.isfinite(speed):
+        raise OverflowError("relative packet speed overflows")
+    # float(t): a numpy time would warn where the product overflows
+    d = abs((left.center - right.center) + speed * float(t))
+    if not math.isfinite(d):
+        raise OverflowError(f"packet separation at t = {t:g} s overflows")
+    return d
+
+
 def suppression_ratio(
     t: float, left: GaussianPacket, right: GaussianPacket, r_c: float
 ) -> float:
     """Cross-term overlap at time t relative to coincident packets.
 
-    d(t) = |(c_l - c_r) + (v_l - v_r) t| with constant widths; packets must
-    share a width for the ratio to be a pure separation factor, so the mean
-    width is used.
+    Constant widths; packets must share a width for the ratio to be a pure
+    separation factor, so the mean width is used.
     """
-    if t < 0:
-        raise ValueError("negative time")
+    d = separation(t, left, right)
     sigma = 0.5 * (left.sigma + right.sigma)
-    d = abs((left.center - right.center) + (left.speed - right.speed) * t)
     return (
         cross_term_kernel_overlap(d, sigma, r_c)
         / cross_term_kernel_overlap(0.0, sigma, r_c)

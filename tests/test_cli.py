@@ -220,6 +220,7 @@ def test_non_finite_packet_flags_are_usage_errors(tmp_path, argv):
     ["diag", "--t", "1e308"],
     ["single", "--momentum", "1e200"],
     ["single", "--model", "csl", "--relativistic", "--momentum", "1e200"],
+    ["overlap", "--speed", "1e308", "--t-grid", "0:1e10:3"],
 ])
 def test_overflowing_times_are_numeric_failure(tmp_path, argv):
     # valid input whose phase, energy splitting or diagnostic overflows: no
@@ -254,6 +255,21 @@ def test_overflowing_decay_alone_gives_zero_probabilities(tmp_path, argv):
     # at the largest times every probability has decayed to 0
     assert all(v == 0 for name, v in zip(header, values[-1])
                if not name.startswith("t_"))
+
+
+def test_relativistic_csl_at_huge_momentum_gives_finite_rows(tmp_path):
+    # E^3 overflows at this momentum but the mass splitting does not
+    import warnings
+    out = tmp_path / "p.csv"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert cli.main(["--out", str(out), "single", "--model", "csl",
+                         "--relativistic", "--momentum", "1e120",
+                         "--t-grid", "0:1e-9:3"]) == 0
+    _, *rows = out.read_text().splitlines()
+    assert len(rows) == 3
+    assert all(math.isfinite(float(cell)) for row in rows
+               for cell in row.split(","))
 
 
 @pytest.mark.parametrize("bad", [

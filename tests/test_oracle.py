@@ -2,6 +2,7 @@ import math
 import os
 import subprocess
 import sys
+import threading
 from pathlib import Path
 
 import numpy as np
@@ -115,6 +116,105 @@ def test_trajectory_rows_come_from_block_keyed_philox():
         (min(oracle.BLOCK, 300 - b * oracle.BLOCK), 10)) for b in (0, 1)]
     phase = np.concatenate(rows).sum(axis=1) * math.sqrt(0.1)
     assert res.mean_interference == pytest.approx(np.cos(phase).mean(), rel=1e-13)
+
+
+def record_block_threads(monkeypatch):
+    """Wrap the oracle's Philox construction; return {block: thread ident}."""
+    philox, seen = np.random.Philox, {}
+
+    def spy(key):
+        seen[int(key[1])] = threading.get_ident()
+        return philox(key=key)
+
+    monkeypatch.setattr(oracle.np.random, "Philox", spy)
+    return seen
+
+
+def test_results_do_not_depend_on_workers_or_chunk_size(monkeypatch):
+    # every worker count and chunk size gives the same bits; white and OU
+    # plans whose last block is partial, a plan smaller than one chunk and a
+    # seed that needs the top bit of its uint64 key word
+    ou = m.SimulationPlan(n_trajectories=5000, n_steps=64, dt=1.0 / 64,
+                          seed=3, kernel=m.ExponentialKernel(tau=0.2))
+    plans = (white_plan(seed=3, n_traj=5000), ou,
+             white_plan(seed=5, n_traj=300, n_steps=16, dt=1.0 / 16),
+             white_plan(seed=2**63 + 5, n_traj=1300, n_steps=16, dt=1.0 / 16))
+    for plan in plans:
+        results = set()
+        for workers in (1, 2, 3):
+            for chunk in (4096, 512):
+                monkeypatch.setattr(oracle, "_WORKERS", workers)
+                monkeypatch.setattr(oracle, "_CHUNK", chunk)
+                threads = record_block_threads(monkeypatch)
+                res = m.simulate_damping(4.0, 1.0, 1.0, 1.0, plan)
+                results.add((res.mean_interference, res.std_error))
+                # one worker, or a plan of one chunk, stays on the caller
+                on_caller = set(threads.values()) == {threading.get_ident()}
+                single = plan.n_trajectories < 2 * oracle.BLOCK
+                assert on_caller == (workers == 1 or single)
+        assert len(results) == 1
+
+
+def test_single_chunk_run_starts_no_thread(monkeypatch):
+    monkeypatch.setattr(oracle, "_WORKERS", 2)
+    threads = record_block_threads(monkeypatch)
+    m.simulate_damping(4.0, 1.0, 1.0, 1.0, white_plan(n_traj=200))
+    assert threads == {0: threading.get_ident()}
+
+
+def test_threaded_rows_follow_the_documented_row_map(monkeypatch):
+    # trajectory i is row i % BLOCK of Philox(key=[seed, i // BLOCK]) times
+    # the phase weights, across six chunks on two workers
+    monkeypatch.setattr(oracle, "_WORKERS", 2)
+    monkeypatch.setattr(oracle, "_CHUNK", 2 * oracle.BLOCK)
+    seed, n = 2**63 + 11, 1300
+    plan = m.SimulationPlan(n_trajectories=n, n_steps=20, dt=1.0 / 20,
+                            seed=seed, kernel=m.ExponentialKernel(tau=0.5))
+    threads = record_block_threads(monkeypatch)
+    res = m.simulate_damping(4.0, 1.0, 1.0, 1.0, plan)
+    assert len(set(threads.values())) == 2
+    w = oracle._phase_weights(plan, 1.0)
+    rows = np.concatenate([
+        np.random.Generator(np.random.Philox(
+            key=np.array([seed, b], dtype=np.uint64))).standard_normal(
+                (min(oracle.BLOCK, n - b * oracle.BLOCK), w.size))
+        for b in range(-(-n // oracle.BLOCK))])
+    cos_vals = np.cos((math.sqrt(4.0) - 1.0) * np.einsum("ij,j->i", rows, w))
+    assert res.mean_interference == float(np.mean(cos_vals))
+    assert res.std_error == float(np.std(cos_vals, ddof=1) / math.sqrt(n))
+
+
+def test_more_workers_than_cores_with_frequent_switches(monkeypatch):
+    # 20 one-block chunks on 4 threads that switch every microsecond: a
+    # chunk lost or written twice into another's slice changes the bits
+    plan = white_plan(seed=13, n_traj=5000, n_steps=16, dt=1.0 / 16)
+    monkeypatch.setattr(oracle, "_WORKERS", 1)
+    serial = m.simulate_damping(4.0, 1.0, 1.0, 1.0, plan)
+    monkeypatch.setattr(oracle, "_WORKERS", 4)
+    monkeypatch.setattr(oracle, "_CHUNK", 4 * oracle.BLOCK)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threaded = m.simulate_damping(4.0, 1.0, 1.0, 1.0, plan)
+    finally:
+        sys.setswitchinterval(interval)
+    assert threaded == serial
+
+
+def test_failing_worker_raises(monkeypatch):
+    monkeypatch.setattr(oracle, "_WORKERS", 2)
+    philox = np.random.Philox
+
+    def failing(key):
+        if int(key[1]) == 9:
+            raise RuntimeError("block 9 failed")
+        return philox(key=key)
+
+    monkeypatch.setattr(oracle.np.random, "Philox", failing)
+    before = threading.active_count()
+    with pytest.raises(RuntimeError, match="block 9 failed"):
+        m.simulate_damping(4.0, 1.0, 1.0, 1.0, white_plan(n_traj=5000))
+    assert threading.active_count() == before
 
 
 def two_growth(x):

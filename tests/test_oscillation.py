@@ -228,6 +228,15 @@ def test_non_finite_inputs_raise():
         m.energy_difference(K0, Eigenstate.HEAVY, Eigenstate.LIGHT, p=math.inf)
 
 
+@pytest.mark.parametrize("p", [1e100, 1e120, 1e150])
+def test_effective_mass_splitting_has_its_ultrarelativistic_limit(p):
+    # delta_m m (m^2 + 2 p^2) / E^3 -> 2 delta_m m / p for p >> m, also
+    # where E^3 itself overflows (p >~ 1e102 MeV/c)
+    from mesonosc.oscillation import _effective_mass_difference
+    limit = 2.0 * K0.delta_m * K0.m_light / p
+    assert _effective_mass_difference(K0, p) == pytest.approx(limit, rel=1e-14)
+
+
 def test_momentum_whose_splitting_overflows_raises():
     # a finite momentum whose square overflows gives no finite splitting
     with pytest.raises(OverflowError):

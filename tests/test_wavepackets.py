@@ -65,6 +65,19 @@ def test_coincident_identical_packets_have_unit_ratio():
     assert m.suppression_ratio(5e-10, p, p, 1e-5) == 1.0
 
 
+def test_separation_that_overflows_raises():
+    from mesonosc.wavepackets import separation
+    left = m.GaussianPacket(0.0, 1.0, -1e308)
+    right = m.GaussianPacket(0.0, 1.0, 1e308)
+    assert separation(0.5, left, m.GaussianPacket(1.0, 1.0, 0.0)) == 5e307
+    with pytest.raises(OverflowError):
+        separation(0.0, left, right)  # the relative speed, even at t = 0
+    with pytest.raises(OverflowError):
+        separation(2.0, left, m.GaussianPacket(0.0, 1.0, 0.0))
+    with pytest.raises(OverflowError):
+        m.suppression_ratio(0.0, left, right, 1e-5)
+
+
 def test_validation():
     with pytest.raises(ValueError):
         m.GaussianPacket(0.0, -1.0, 0.0)
