@@ -1,9 +1,11 @@
 """Time-correlation functions of the collapse noise and their kernel integrals.
 
-All kernels are even functions of the time lag normalized to unit integral
-over the full line, so every parametric family interpolates to the white
-(delta-correlated) limit as its correlation time goes to zero.  Any overall
-noise strength lives in the collapse coupling, never in the kernel.
+All kernels are even functions of the time lag.  The parametric families
+are normalized to unit integral over the full line, so each interpolates to
+the white (delta-correlated) limit as its correlation time goes to zero,
+and any overall noise strength lives in the collapse coupling.  A tabulated
+kernel is used as given: past its last sample D(t) grows with slope I/2,
+where I is its full-line integral, in place of the white limit's 1/2.
 
 The integral that drives every damping exponent is the growth integral
 
@@ -18,30 +20,15 @@ from __future__ import annotations
 import io
 import math
 from dataclasses import dataclass
-from types import SimpleNamespace
 
 import numpy as np
 from scipy.special import erf
-
-_QUAD_RTOL = 1e-10
-_QUAD_ATOL = 1e-16
 
 # x + expm1(-x) = (x^2/2) sum_k 2 (-x)^k / (k+2)!; below _SERIES_X the
 # direct form loses about 2e-16/x of relative accuracy to cancellation, and
 # the terms left out of the series are below 1e-18 relative
 _SERIES_X = 0.1
 _EXP_SERIES = [2.0 * (-1) ** k / math.factorial(k + 2) for k in range(10)][::-1]
-
-
-def _quad(*args, **kwargs):
-    from scipy.integrate import quad
-    return quad(*args, **kwargs)
-
-
-# scipy.integrate (and the optimizer package it imports) adds about 0.3 s
-# to the package import and only the quad fallback uses it, so it is
-# imported on its first call
-integrate = SimpleNamespace(quad=_quad)
 
 
 class KernelError(ValueError):
@@ -58,28 +45,17 @@ def _times(t, error: type[ValueError] = KernelError) -> np.ndarray:
 
 
 class NoiseKernel:
-    """Base class; concrete kernels implement ``correlation`` and may
-    override the growth integral with a closed form."""
+    """Base class; every concrete kernel implements ``correlation`` and
+    evaluates its growth integral in closed form on whole arrays."""
 
     def correlation(self, s: float) -> float:
         """Pointwise value f(|s|) in s^-1."""
         raise NotImplementedError
 
     def growth_integral(self, t):
-        """D(t) = int_0^t f(s)(t-s) ds, in seconds, for a time or an array
-        of times; evaluated one element at a time."""
-        t = _times(t)
-        d = np.fromiter((self._growth_at(x) for x in t.flat), float, t.size)
-        return d.reshape(t.shape) if t.ndim else float(d[0])
-
-    def _growth_at(self, t: float) -> float:
-        if t == 0.0:
-            return 0.0
-        val, _ = integrate.quad(
-            lambda s: self.correlation(s) * (t - s), 0.0, t,
-            epsrel=_QUAD_RTOL, epsabs=_QUAD_ATOL, limit=200,
-        )
-        return val
+        """D(t) = int_0^t f(s)(t-s) ds, in seconds, for a time (a float
+        back) or an array of times (an array of the same shape back)."""
+        raise NotImplementedError
 
 
 class WhiteKernel(NoiseKernel):
@@ -114,10 +90,14 @@ class ExponentialKernel(NoiseKernel):
     def growth_integral(self, t):
         t = _times(t)
         # D = (tau/2)(x + expm1(-x)) with x = t/tau; the series, written as
-        # (t x / 4) P(x), keeps full relative accuracy at small x
-        x = t / self.tau
-        series = 0.25 * t * x * np.polyval(_EXP_SERIES, np.minimum(x, _SERIES_X))
-        d = np.where(x < _SERIES_X, series, 0.5 * (t + self.tau * np.expm1(-x)))
+        # (t x / 4) P(x), keeps full relative accuracy at small x.  At a
+        # tiny tau x overflows to inf, where the direct form gives the exact
+        # limit (t - tau)/2
+        with np.errstate(over="ignore"):
+            x = t / self.tau
+            series = 0.25 * t * x * np.polyval(_EXP_SERIES,
+                                               np.minimum(x, _SERIES_X))
+            d = np.where(x < _SERIES_X, series, 0.5 * (t + self.tau * np.expm1(-x)))
         return d if d.ndim else float(d)
 
 
@@ -140,10 +120,12 @@ class GaussianKernel(NoiseKernel):
     def growth_integral(self, t):
         t = _times(t)
         # D = (t/2) erf(t / sqrt(2) tau) + tau/sqrt(2 pi) (e^{-t^2/2tau^2} - 1);
-        # expm1 keeps small t/tau accurate
-        x = t / self.tau
-        d = (0.5 * t * erf(x / math.sqrt(2.0))
-             + self.tau / math.sqrt(2.0 * math.pi) * np.expm1(-0.5 * x * x))
+        # expm1 keeps small t/tau accurate.  At a tiny tau x or x*x overflows
+        # to inf, where the form gives the exact limit t/2 - tau/sqrt(2 pi)
+        with np.errstate(over="ignore"):
+            x = t / self.tau
+            d = (0.5 * t * erf(x / math.sqrt(2.0))
+                 + self.tau / math.sqrt(2.0 * math.pi) * np.expm1(-0.5 * x * x))
         return d if d.ndim else float(d)
 
 
@@ -157,8 +139,12 @@ class TabulatedKernel(NoiseKernel):
         f = np.asarray(f, dtype=float)
         if s.ndim != 1 or s.shape != f.shape or s.size < 2:
             raise KernelError("need two equal-length 1-d sample arrays")
+        if not (np.isfinite(s).all() and np.isfinite(f).all()):
+            raise KernelError("samples must be finite")
         if np.any(np.diff(s) <= 0):
             raise KernelError("sample lags must be strictly increasing")
+        if s[0] < 0:
+            raise KernelError("sample lags must be >= 0")
         if np.any(f < 0):
             raise KernelError("kernel values must be nonnegative")
         self.s = s
@@ -169,20 +155,24 @@ class TabulatedKernel(NoiseKernel):
             raise KernelError("non-finite lag")
         return float(np.interp(abs(s), self.s, self.f, left=self.f[0], right=0.0))
 
-    def _growth_at(self, t: float) -> float:
-        if t == 0.0:
-            return 0.0
-        # f is piecewise linear, so f(s)(t-s) is piecewise quadratic and
-        # per-segment Simpson is exact; f = 0 past the last sample, so the
-        # integral ends there
-        end = min(t, self.s[-1])
-        edges = np.concatenate(
-            ([0.0], self.s[(self.s > 0.0) & (self.s < end)], [end]))
-        a, b = edges[:-1], edges[1:]
-        mid = 0.5 * (a + b)
-        def g(x):
-            return np.interp(x, self.s, self.f, left=self.f[0], right=0.0) * (t - x)
-        return float(np.sum((b - a) / 6.0 * (g(a) + 4.0 * g(mid) + g(b))))
+    def growth_integral(self, t):
+        t = _times(t)
+        # f is linear between the knots a = [0, s_i > 0] and 0 past the
+        # last, so D'' = f gives, at a time u past knot a on a segment of
+        # slope m, D = D(a) + u F(a) + u^2 (3 f(a) + m u)/6 with F = D' the
+        # integral of f; every term is >= 0, so nothing cancels
+        a = np.concatenate(([0.0], self.s[self.s > 0.0]))
+        fa = np.interp(a, self.s, self.f, left=self.f[0], right=0.0)
+        h = np.diff(a)
+        big_f = np.concatenate(([0.0], np.cumsum(0.5 * h * (fa[:-1] + fa[1:]))))
+        big_d = np.concatenate(([0.0], np.cumsum(
+            h * big_f[:-1] + h * h * (2.0 * fa[:-1] + fa[1:]) / 6.0)))
+        start = np.append(fa[:-1], 0.0)
+        slope = np.append(np.diff(fa) / h, 0.0)
+        i = np.searchsorted(a, t, side="right") - 1
+        u = t - a[i]
+        d = big_d[i] + u * big_f[i] + u * u * (3.0 * start[i] + slope[i] * u) / 6.0
+        return d if d.ndim else float(d)
 
     def __repr__(self):
         return f"TabulatedKernel(n={self.s.size})"

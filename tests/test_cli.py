@@ -272,6 +272,24 @@ def test_relativistic_csl_at_huge_momentum_gives_finite_rows(tmp_path):
                for cell in row.split(","))
 
 
+@pytest.mark.parametrize("kernel, grid", [("gauss:1e-300", "0:1e-9:3"),
+                                          ("exp:1e-310", "0:1:3")])
+def test_csl_at_vanishing_correlation_time_gives_finite_rows(tmp_path, kernel,
+                                                              grid):
+    # t/tau (or its square) overflows; the kernel's D(t) is then its exact
+    # t >> tau limit
+    import warnings
+    out = tmp_path / "k.csv"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert cli.main(["--out", str(out), "single", "--t-grid", grid,
+                         "--model", "csl", "--kernel", kernel]) == 0
+    _, *rows = out.read_text().splitlines()
+    assert len(rows) == 3
+    assert all(math.isfinite(float(cell)) for row in rows
+               for cell in row.split(","))
+
+
 @pytest.mark.parametrize("bad", [
     ["--gamma-j", "nan"], ["--gamma-k", "inf"], ["--f0", "inf"],
     ["--f0", "nan"], ["--t", "nan"], ["--t", "inf"],

@@ -158,6 +158,16 @@ def test_pkj_conjugate_symmetry_on_arrays(sp, kind, units, p_units):
                 np.conj(m.pkj(sp, k, j, t, spec, p)), rtol=1e-14, atol=0.0)
 
 
+def growth_by_quadrature(kernel, t):
+    from scipy import integrate
+
+    if t == 0.0:
+        return 0.0
+    val, _ = integrate.quad(lambda s: kernel.correlation(s) * (t - s), 0.0, t,
+                            epsrel=1e-10, epsabs=1e-16, limit=200)
+    return val
+
+
 @settings(max_examples=60, deadline=None, derandomize=True)
 @given(st.floats(-4.0, 3.0), st.floats(1e-2, 1e2))
 def test_gaussian_closed_form_matches_quadrature(log_ratio, tau):
@@ -165,8 +175,7 @@ def test_gaussian_closed_form_matches_quadrature(log_ratio, tau):
     t = 10.0**log_ratio * tau
     closed = kernel.growth_integral(t)
     assert type(closed) is float
-    assert closed == pytest.approx(
-        m.NoiseKernel.growth_integral(kernel, t), rel=1e-9)
+    assert closed == pytest.approx(growth_by_quadrature(kernel, t), rel=1e-9)
 
 
 def test_gaussian_closed_form_small_time_series():
@@ -188,6 +197,6 @@ def test_growth_integrals_keep_array_shape():
         d = kernel.growth_integral(t)
         assert d.shape == t.shape
         assert d[0, 0] == 0.0
-        np.testing.assert_allclose(
-            d.ravel(), [kernel.growth_integral(float(x)) for x in t.flat],
-            rtol=1e-15)
+        # one closed form serves both, so they agree bit for bit
+        assert d.ravel().tolist() == [kernel.growth_integral(float(x))
+                                      for x in t.flat]

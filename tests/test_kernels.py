@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from mesonosc.kernels import (
     ExponentialKernel,
@@ -26,11 +28,27 @@ def test_white_has_no_pointwise_value():
         WhiteKernel().correlation(0.1)
 
 
+def growth_by_quadrature(kernel, t):
+    from scipy import integrate
+
+    if t == 0.0:
+        return 0.0
+    val, _ = integrate.quad(lambda s: kernel.correlation(s) * (t - s), 0.0, t,
+                            epsrel=1e-10, epsabs=1e-16, limit=200)
+    return val
+
+
+def test_base_kernel_has_no_growth_integral():
+    # every concrete kernel brings its own closed form
+    with pytest.raises(NotImplementedError):
+        NoiseKernel().growth_integral(1.0)
+
+
 def test_exponential_closed_form_matches_quadrature():
     k = ExponentialKernel(tau=0.3)
     for t in (0.05, 0.3, 2.0, 10.0):
         closed = k.growth_integral(t)
-        quad = NoiseKernel.growth_integral(k, t)
+        quad = growth_by_quadrature(k, t)
         assert closed == pytest.approx(quad, rel=1e-9)
 
 
@@ -57,6 +75,19 @@ def test_exponential_white_limit():
     assert k.growth_integral(t) == pytest.approx(0.5 * t, rel=1.1e-4)
 
 
+@pytest.mark.parametrize("tau", [1e-300, 1e-310])
+def test_closed_forms_reach_their_limits_when_t_over_tau_overflows(tau):
+    # t/tau (or its square) overflows to inf, where the closed forms give
+    # their exact t >> tau limits; no overflow warning escapes
+    t = np.array([1e-10, 1.0, 1e300])
+    exp_d = ExponentialKernel(tau).growth_integral(t)
+    gauss_d = GaussianKernel(tau).growth_integral(t)
+    assert exp_d.tolist() == ((t - tau) / 2).tolist()
+    assert gauss_d.tolist() == (t / 2 - tau / math.sqrt(2 * math.pi)).tolist()
+    assert ExponentialKernel(tau).growth_integral(1.0) == (1.0 - tau) / 2
+    assert GaussianKernel(tau).growth_integral(1e-10) == 5e-11
+
+
 def test_gaussian_kernel_normalized():
     tau = 0.2
     k = GaussianKernel(tau=tau)
@@ -81,16 +112,35 @@ def test_tabulated_growth_stops_at_last_sample():
     assert TabulatedKernel([0.0, 1.0], [1.0, 1.0]).growth_integral(2.0) == 1.5
 
 
-def test_tabulated_growth_integral_matches_mpmath():
-    # a random table whose first sample is past 0 and whose last is not 0,
-    # at times inside it, at its knots and past its end
+@st.composite
+def tables_and_times(draw):
+    """A table of 2-20 knots, the first at 0 or past it and the last value
+    0 or not, with times inside it, at its knots and past its end."""
+    n = draw(st.integers(2, 20))
+    start = draw(st.one_of(st.just(0.0), st.floats(0.01, 2.0)))
+    gaps = draw(st.lists(st.floats(0.01, 2.0), min_size=n - 1, max_size=n - 1))
+    s = start + np.concatenate(([0.0], np.cumsum(gaps)))
+    f = draw(st.lists(st.one_of(st.just(0.0), st.floats(1e-3, 2.0)),
+                      min_size=n, max_size=n))
+    if draw(st.booleans()):
+        f[-1] = 0.0
+    # D(t) ~ t^3 underflows below t ~ 1e-103, so inside times are 0 or
+    # at least a thousandth of the table
+    inside = draw(st.lists(st.one_of(st.just(0.0), st.floats(1e-3, 1.0)),
+                           min_size=1, max_size=4))
+    past = draw(st.lists(st.floats(1.0, 100.0), min_size=1, max_size=3))
+    times = np.concatenate((np.array(inside) * s[-1], s, np.array(past) * s[-1]))
+    return s, np.array(f), times
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(tables_and_times())
+def test_tabulated_growth_integral_matches_mpmath(table):
     mpmath = pytest.importorskip("mpmath")
-    rng = np.random.default_rng(19)
-    s = np.sort(rng.uniform(0.1, 5.0, 19))
-    f = rng.uniform(0.0, 2.0, 19)
-    times = np.concatenate((rng.uniform(0.0, s[-1], 6), s[::3],
-                            s[-1] * np.array([1.0, 1.5, 3.0, 100.0])))
-    got = TabulatedKernel(s, f).growth_integral(times)
+    s, f, times = table
+    kernel = TabulatedKernel(s, f)
+    got = kernel.growth_integral(times)
+    assert got.tolist() == [kernel.growth_integral(t) for t in times.tolist()]
     with mpmath.workdps(30):
         knots = [mpmath.mpf(x) for x in s.tolist()]
         values = [mpmath.mpf(x) for x in f.tolist()]
@@ -106,7 +156,8 @@ def test_tabulated_growth_integral_matches_mpmath():
         for t, d in zip(times.tolist(), got.tolist()):
             end = min(mpmath.mpf(t), knots[-1])
             ref = mpmath.quad(lambda x: correlation(x) * (t - x),
-                              [0, *[k for k in knots if k < end], end])
+                              [0, *[k for k in knots if 0 < k < end], end],
+                              method="gauss-legendre")
             assert abs(d - ref) <= 1e-13 * ref
 
 
@@ -123,6 +174,14 @@ def test_tabulated_validation():
         TabulatedKernel([0.0, 0.0], [1.0, 1.0])
     with pytest.raises(KernelError):
         TabulatedKernel([0.0, 1.0], [1.0, -1.0])
+    # f is sampled for s >= 0 only; the even extension covers s < 0
+    with pytest.raises(KernelError, match=">= 0"):
+        TabulatedKernel([-2.0, -1.0], [1.0, 1.0])
+    with pytest.raises(KernelError, match=">= 0"):
+        TabulatedKernel([-1.0, 1.0], [1.0, 1.0])
+    for s, f in (([0.0, math.nan], [1.0, 1.0]), ([0.0, 1.0], [math.inf, 1.0])):
+        with pytest.raises(KernelError, match="finite"):
+            TabulatedKernel(s, f)
 
 
 def test_tabulated_from_csv():

@@ -277,8 +277,8 @@ def test_import_leaves_scipy_signal_out():
 
 
 def test_import_leaves_scipy_optimize_and_integrate_out():
-    # only the fit and the kernel quad fallbacks use them, and together
-    # they cost about 0.3 s of import time
+    # neither the fit nor the kernels use them, and together they cost
+    # about 0.3 s of import time; this guards against bringing them back
     src = str(Path(oracle.__file__).resolve().parents[1])
     code = ("import sys, mesonosc; raise SystemExit(bool("
             "{'scipy.optimize', 'scipy.integrate'} & set(sys.modules)))")
