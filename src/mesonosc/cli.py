@@ -5,7 +5,7 @@ stable key order) describing the command, parameters, config hash, seed and
 wall-clock duration.  Outputs are deterministic given (config, flags, seed);
 rerunning reproduces byte-identical data files.
 
-Exit codes: 0 success, 2 usage error, 3 config error, 4 numeric failure.
+Exit codes: 0 success, 2 usage, 3 config or file error, 4 numeric failure.
 """
 
 from __future__ import annotations
@@ -350,8 +350,9 @@ def main(argv=None) -> int:
     try:
         reg, config_text = _load_registry(args)
         text = args.func(args, reg)
-    except (ConfigError, KernelError, FileNotFoundError) as exc:
-        print(f"config error: {exc}", file=sys.stderr)
+        _write_output(args, text, _manifest(args, config_text, started))
+    except (ConfigError, KernelError, OSError) as exc:
+        print(f"config or file error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     except (PlanError, ArithmeticError) as exc:
         print(f"numeric failure: {exc}", file=sys.stderr)
@@ -359,7 +360,6 @@ def main(argv=None) -> int:
     except ValueError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    _write_output(args, text, _manifest(args, config_text, started))
     return EXIT_OK
 
 

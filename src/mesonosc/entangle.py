@@ -26,8 +26,8 @@ from .oscillation import (
     Eigenstate,
     FlavorState,
     NoDamping,
+    _mass_factors,
     energy_difference,
-    pkj,
 )
 
 
@@ -106,17 +106,6 @@ def flavor_projection(left: FlavorState, right: FlavorState) -> FinalProjection:
     )
 
 
-def _mass_factors(t, q: JointQuery) -> np.ndarray:
-    """P[..., j, k] = pkj(j, k, t) over the mass basis (light, heavy)."""
-    light, heavy = Eigenstate.LIGHT, Eigenstate.HEAVY
-    args = (t, q.spec, q.momentum, q.include_decay)
-    off = pkj(q.species, light, heavy, *args)
-    return np.stack(
-        [pkj(q.species, light, light, *args), off,
-         np.conj(off), pkj(q.species, heavy, heavy, *args)], axis=-1,
-    ).reshape(np.shape(t) + (2, 2))
-
-
 def joint_probability(
     state: TwoParticleState, proj: FinalProjection, q: JointQuery
 ):
@@ -127,8 +116,10 @@ def joint_probability(
     with c = alpha conj(beta) (x) conj(gamma), as one einsum.
     """
     c = state.alpha * np.multiply.outer(np.conj(proj.beta), np.conj(proj.gamma))
-    total = np.einsum("jk,pq,...jp,...kq->...", c, c.conj(),
-                      _mass_factors(q.t_left, q), _mass_factors(q.t_right, q))
+    left, right = (_mass_factors(q.species, t, q.spec, q.momentum,
+                                 q.include_decay)
+                   for t in (q.t_left, q.t_right))
+    total = np.einsum("jk,pq,...jp,...kq->...", c, c.conj(), left, right)
     if np.any(np.abs(total.imag) > 1e-12 * np.maximum(1.0, np.abs(total.real))):
         raise ImaginaryResidueError(
             f"joint probability has imaginary residue {np.max(np.abs(total.imag))}"

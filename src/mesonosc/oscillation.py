@@ -80,10 +80,6 @@ def energy_difference(species: MesonSpecies, j: Eigenstate, k: Eigenstate,
     return de if j is Eigenstate.HEAVY else -de
 
 
-def _width_of(species: MesonSpecies, j: Eigenstate) -> float:
-    return species.gamma_light if j is Eigenstate.LIGHT else species.gamma_heavy
-
-
 def csl_damping_rate(params: CslParams, species: MesonSpecies) -> float:
     """White-noise interference damping rate in s^-1.
 
@@ -153,6 +149,39 @@ def damping_exponent(
     return exponent if t.ndim else float(exponent)
 
 
+def _mass_factors(species: MesonSpecies, t, spec: DampingSpec, p: float,
+                  include_decay: bool) -> np.ndarray:
+    """P[..., j, k] = pkj(j, k, t) over the mass basis (light, heavy): one
+    phase, one damping exponent and one exp serve all four factors."""
+    t = _times(t, ValueError)
+    hbar = CONSTANTS.hbar_mev_s
+    light, heavy = Eigenstate.LIGHT, Eigenstate.HEAVY
+    # from about 1e295 s on (by species) the phase overflows, and 1j * inf
+    # would make every probability NaN
+    try:
+        with np.errstate(over="raise"):
+            phase = energy_difference(species, light, heavy, p) * t / hbar
+    except FloatingPointError:
+        raise OverflowError(
+            f"times up to {np.max(t):g} s overflow the oscillation "
+            "phase") from None
+    exponent = damping_exponent(spec, species, light, heavy, t)
+    zero = np.zeros_like(t)
+    # entries (ll, lh, hl, hh) on a last axis, reshaped to [..., j, k]
+    phase = np.stack([zero, phase, -phase, zero], axis=-1)
+    log_mag = -np.stack([zero, exponent, exponent, zero], axis=-1)
+    if include_decay:
+        widths = np.array([species.gamma_light, species.gamma_heavy])
+        # a decay exponent that overflows to -inf gives exp(...) = 0 exactly
+        with np.errstate(over="ignore"):
+            log_mag = log_mag - (np.add.outer(widths, widths).ravel()
+                                 * t[..., None] / (2.0 * hbar))
+    return np.exp(log_mag + 1j * phase).reshape(t.shape + (2, 2))
+
+
+_AXIS = {Eigenstate.LIGHT: 0, Eigenstate.HEAVY: 1}
+
+
 def pkj(
     species: MesonSpecies,
     j: Eigenstate,
@@ -168,31 +197,15 @@ def pkj(
     exp(-(Gamma_k+Gamma_j) t / 2 hbar) * exp(+i (E_j - E_k) t / hbar)
     * exp(-damping_exponent).  Satisfies pkj(k, j) = conj(pkj(j, k)) and
     pkj(j, j, t) = exp(-Gamma_j t / hbar).  Raises OverflowError for times
-    so large that the phase overflows; where only the decay exponent
-    overflows, the factor is exactly 0.
+    so large that the phase overflows (on the diagonal too); where only
+    the decay exponent overflows, the factor is exactly 0.
 
     The sign convention of the phase is fixed to +(E_j - E_k); only its
     cosine is observable in the assembled probabilities.
     """
-    t = _times(t, ValueError)
-    hbar = CONSTANTS.hbar_mev_s
-    # from about 1e295 s on (by species) the phase overflows, and 1j * inf
-    # would make every probability NaN
-    try:
-        with np.errstate(over="raise"):
-            phase = energy_difference(species, j, k, p) * t / hbar
-    except FloatingPointError:
-        raise OverflowError(
-            f"times up to {np.max(t):g} s overflow the oscillation "
-            "phase") from None
-    log_mag = -damping_exponent(spec, species, j, k, t)
-    if include_decay:
-        # a decay exponent that overflows to -inf gives exp(...) = 0 exactly
-        with np.errstate(over="ignore"):
-            log_mag = log_mag - (_width_of(species, j)
-                                 + _width_of(species, k)) * t / (2.0 * hbar)
-    val = np.exp(log_mag + 1j * phase)
-    return val if t.ndim else complex(val)
+    val = _mass_factors(species, t, spec, p, include_decay)[
+        ..., _AXIS[j], _AXIS[k]]
+    return val if val.ndim else complex(val)
 
 
 def transition_probability(
@@ -212,13 +225,9 @@ def transition_probability(
     only on whether the flavor flips, not on which flavor starts.
     """
     sign = 1.0 if initial is final else -1.0
-    light, heavy = Eigenstate.LIGHT, Eigenstate.HEAVY
-    args = (t, spec, p, include_decay)
-    return 0.25 * (
-        pkj(species, light, light, *args).real
-        + 2.0 * sign * pkj(species, heavy, light, *args).real
-        + pkj(species, heavy, heavy, *args).real
-    )
+    f = _mass_factors(species, t, spec, p, include_decay).real
+    prob = 0.25 * (f[..., 0, 0] + 2.0 * sign * f[..., 1, 0] + f[..., 1, 1])
+    return prob if prob.ndim else float(prob)
 
 
 def lindblad_density_matrix(

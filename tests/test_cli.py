@@ -138,6 +138,19 @@ def test_missing_config_file_is_config_error():
     assert cli.main(["--config", "/nonexistent/cfg.json", "rates"]) == 3
 
 
+@pytest.mark.parametrize("argv", [
+    ["--out", "{d}/missing/x.csv", "rates"],
+    ["--out", "{d}/x.csv", "--config", "{d}", "rates"],
+    ["--out", "{d}/x.json", "fit", "--events", "{d}"],
+    ["--out", "{d}/x.json", "fit", "--zeta-true", "0.2", "--n-events", "100",
+     "--save-events", "{d}"],
+])
+def test_file_errors_are_config_errors_and_write_nothing(tmp_path, argv):
+    # a missing output directory, or a directory where a file belongs
+    assert cli.main([a.format(d=tmp_path) for a in argv]) == 3
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_custom_config(tmp_path):
     import mesonosc as m
     cfg = tmp_path / "cfg.json"

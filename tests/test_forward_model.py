@@ -6,6 +6,7 @@ their conjugate symmetry, across species, damping models and times drawn
 by hypothesis.
 """
 
+import cmath
 import math
 
 import numpy as np
@@ -58,6 +59,16 @@ units_st = st.lists(st.floats(0.0, 6.0), min_size=1, max_size=7)
 momentum_st = st.sampled_from([0.0, 0.2, 1.0])   # in units of m_light
 
 SETTINGS = settings(max_examples=40, deadline=None, derandomize=True)
+
+
+def reference_pkj(sp, j, k, t, spec, p, decay):
+    """pkj's docstring formula for one scalar time, entry by entry:
+    exp(-(G_j + G_k) t / 2 hbar) exp(+i (E_j - E_k) t / hbar) exp(-L_jk)."""
+    width = {Eigenstate.LIGHT: sp.gamma_light, Eigenstate.HEAVY: sp.gamma_heavy}
+    decay_exp = (width[j] + width[k]) * t / (2.0 * HBAR) if decay else 0.0
+    phase = m.energy_difference(sp, j, k, p) * t / HBAR
+    return cmath.exp(-decay_exp + 1j * phase
+                     - m.damping_exponent(spec, sp, j, k, t))
 
 
 def loop_single(final, sp, t, spec, p, decay):
@@ -127,6 +138,34 @@ def test_array_joint_equals_scalar_calls(sp, kind, left, right, fl, fr):
     np.testing.assert_allclose(surface, scalars, rtol=1e-12, atol=1e-15)
     loop = [[loop_joint(proj, q) for q in row] for row in queries]
     np.testing.assert_allclose(surface, loop, rtol=1e-12, atol=1e-15)
+
+
+@SETTINGS
+@given(species_st, kind_st, units_st, momentum_st, st.booleans())
+def test_mass_factors_match_docstring_formula(sp, kind, units, p_units, decay):
+    # loop_single and loop_joint check the contraction; this checks the
+    # entries themselves against a scalar formula written out separately
+    spec = damping(kind, sp)
+    t = np.array(units) * lifetime(sp)
+    p = p_units * sp.m_light
+    for j in EIG:
+        for k in EIG:
+            ref = [reference_pkj(sp, j, k, float(x), spec, p, decay)
+                   for x in t]
+            np.testing.assert_allclose(m.pkj(sp, j, k, t, spec, p, decay),
+                                       ref, rtol=1e-14, atol=0.0)
+
+
+@SETTINGS
+@given(species_st, units_st, st.floats(0.0, 3.0))
+def test_mass_factors_are_twice_the_lindblad_density_matrix(sp, units, rate):
+    lam = rate / lifetime(sp)
+    spec = m.LindbladDamping(lambda_single=lam)
+    for x in np.array(units) * lifetime(sp):
+        rho = m.lindblad_density_matrix(sp, float(x), lam)
+        factors = [[m.pkj(sp, j, k, float(x), spec) for k in EIG] for j in EIG]
+        # rates in s^-1 instead of widths over hbar: a few ulps apart
+        np.testing.assert_allclose(2.0 * rho, factors, rtol=1e-13, atol=0.0)
 
 
 @SETTINGS

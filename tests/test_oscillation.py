@@ -3,6 +3,8 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import mesonosc as m
 from mesonosc.oscillation import Eigenstate, FlavorState
@@ -10,6 +12,7 @@ from mesonosc.oscillation import Eigenstate, FlavorState
 REG = m.default_registry()
 K0 = REG.get_species("K0")
 B0 = REG.get_species("B0")
+SPECIES = [REG.get_species(name) for name in ("K0", "B0", "Bs", "D0")]
 HBAR = m.CONSTANTS.hbar_mev_s
 
 # rescaled collapse strength so damping is O(1) on laboratory time scales;
@@ -104,20 +107,27 @@ def test_cp_symmetry_of_transition_probabilities():
     )
 
 
-def test_csl_white_equals_lindblad():
-    lam = m.csl_damping_rate(STRONG, K0)
-    csl = m.CslDamping(params=STRONG)
-    lin = m.LindbladDamping(lambda_single=lam)
-    rng = np.random.default_rng(3)
-    for _ in range(50):
-        t = float(rng.uniform(0.0, 1e-9))
-        for final in FlavorState:
-            assert m.transition_probability(
-                FlavorState.PARTICLE, final, K0, t, csl
-            ) == pytest.approx(
-                m.transition_probability(FlavorState.PARTICLE, final, K0, t, lin),
-                abs=1e-12,
-            )
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(st.sampled_from(SPECIES), st.lists(st.floats(0.0, 6.0), min_size=1,
+                                          max_size=6),
+       st.floats(-2.0, 1.0), st.sampled_from(list(FlavorState)))
+def test_csl_white_equals_lindblad(sp, units, log_rate, final):
+    # collapse strength whose white-noise rate is 10**log_rate light widths
+    r_c, m0 = 1e-5, 940.0
+    gamma = 10.0**log_rate * sp.rate_light() * 2.0 / (
+        (sp.delta_m / m0) ** 2 * m.spatial_zero(r_c))
+    params = m.CslParams(gamma=gamma, r_c=r_c, m0=m0)
+    csl = m.CslDamping(params=params)
+    lin = m.LindbladDamping(lambda_single=m.csl_damping_rate(params, sp))
+    t = np.array(units) / sp.rate_light()
+    for times in (t, float(t[0])):
+        assert m.transition_probability(
+            FlavorState.PARTICLE, final, sp, times, csl
+        ) == pytest.approx(
+            m.transition_probability(FlavorState.PARTICLE, final, sp, times,
+                                     lin),
+            abs=1e-12,
+        )
 
 
 def test_damping_exponent_zero_on_diagonal():
