@@ -16,6 +16,7 @@ import gc
 import hashlib
 import json
 import math
+import os
 import sys
 import time
 
@@ -105,9 +106,13 @@ def _write_output(args, text: str, manifest: dict):
     if args.out:
         with open(args.out, "w", encoding="utf-8", newline="") as fh:
             fh.write(text)
-        with open(args.out + ".manifest.json", "w", encoding="utf-8") as fh:
-            # one write; json.dump would write every token separately
-            fh.write(json.dumps(manifest, indent=2, sort_keys=True) + "\n")
+        try:
+            with open(args.out + ".manifest.json", "w", encoding="utf-8") as fh:
+                # one write; json.dump would write every token separately
+                fh.write(json.dumps(manifest, indent=2, sort_keys=True) + "\n")
+        except OSError:
+            os.remove(args.out)  # no data file without its manifest
+            raise
     else:
         sys.stdout.write(text)
         json.dump(manifest, sys.stderr, indent=2, sort_keys=True)

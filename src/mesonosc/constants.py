@@ -80,12 +80,12 @@ class MesonSpecies:
             return self.delta_m_mev
         return self.m_heavy - self.m_light
 
-    def rate_light(self, constants: PhysicalConstants = CONSTANTS) -> float:
+    def rate_light(self) -> float:
         """Decay rate of the light eigenstate in s^-1."""
-        return self.gamma_light / constants.hbar_mev_s
+        return self.gamma_light / CONSTANTS.hbar_mev_s
 
-    def rate_heavy(self, constants: PhysicalConstants = CONSTANTS) -> float:
-        return self.gamma_heavy / constants.hbar_mev_s
+    def rate_heavy(self) -> float:
+        return self.gamma_heavy / CONSTANTS.hbar_mev_s
 
 
 @dataclass(frozen=True)
@@ -106,7 +106,6 @@ class CslParams:
 class Registry:
     """Immutable lookup of species and collapse-parameter presets."""
 
-    constants: PhysicalConstants
     species: dict[str, MesonSpecies] = field(default_factory=dict)
     csl_presets: dict[str, CslParams] = field(default_factory=dict)
 
@@ -183,7 +182,6 @@ def load_config(text: str) -> Registry:
     except json.JSONDecodeError as exc:
         raise ConfigError(f"malformed JSON: {exc}") from exc
 
-    constants = CONSTANTS
     species: dict[str, MesonSpecies] = {}
     for entry in doc.get("species", []):
         try:
@@ -211,8 +209,8 @@ def load_config(text: str) -> Registry:
             name=name,
             m_light=m_light,
             m_heavy=m_heavy,
-            gamma_light=constants.hbar_mev_s / tau_light,
-            gamma_heavy=constants.hbar_mev_s / tau_heavy,
+            gamma_light=CONSTANTS.hbar_mev_s / tau_light,
+            gamma_heavy=CONSTANTS.hbar_mev_s / tau_heavy,
             label_light=entry.get("label_light", ""),
             label_heavy=entry.get("label_heavy", ""),
             delta_m_mev=delta_m,
@@ -233,7 +231,7 @@ def load_config(text: str) -> Registry:
             raise ConfigError(f"duplicate CSL preset '{name}'")
         presets[name] = params
 
-    return Registry(constants=constants, species=species, csl_presets=presets)
+    return Registry(species=species, csl_presets=presets)
 
 
 def default_registry() -> Registry:
@@ -248,8 +246,8 @@ def dump_config(reg: Registry) -> str:
                 "name": sp.name,
                 "m_light_mev": sp.m_light,
                 "delta_m_mev": sp.delta_m,
-                "tau_light_s": reg.constants.hbar_mev_s / sp.gamma_light,
-                "tau_heavy_s": reg.constants.hbar_mev_s / sp.gamma_heavy,
+                "tau_light_s": CONSTANTS.hbar_mev_s / sp.gamma_light,
+                "tau_heavy_s": CONSTANTS.hbar_mev_s / sp.gamma_heavy,
                 "label_light": sp.label_light,
                 "label_heavy": sp.label_heavy,
             }

@@ -3,6 +3,10 @@
 The general factorization over mass-basis coefficients (one einsum) is the
 single source of truth; the phenomenological closed forms (zeta model,
 min-time Lindblad model, equal-width formula) are validated against it.
+The zeta and min-time forms scale one interference weight,
+a = cos(phase) / cosh((G_l - G_h)(t_r - t_l)/2 hbar), against one
+envelope; the event generator and the zeta fit use the same weight.  At
+equal times a = 1, so undamped like-flavor pairs come out exactly 0.
 
 Sign note: expanding the factorization for the antisymmetric state with
 like-flavor projections yields a MINUS sign in front of the interference
@@ -19,15 +23,14 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .constants import CONSTANTS, MesonSpecies
+from .constants import MesonSpecies
 from .kernels import _times
 from .oscillation import (
     DampingSpec,
-    Eigenstate,
     FlavorState,
     NoDamping,
     _mass_factors,
-    energy_difference,
+    _phase,
 )
 
 
@@ -128,41 +131,50 @@ def joint_probability(
     return prob if prob.ndim else float(prob)
 
 
-def _cos_phase(species: MesonSpecies, t_l, t_r, p: float):
-    """cos of the oscillation phase (E_heavy - E_light)(t_r - t_l)/hbar.
-    Raises OverflowError where the phase overflows, as pkj does."""
-    de = energy_difference(species, Eigenstate.HEAVY, Eigenstate.LIGHT, p)
-    try:
-        with np.errstate(over="raise"):
-            phase = de / CONSTANTS.hbar_mev_s * (t_r - t_l)
-    except FloatingPointError:
-        raise OverflowError(
-            "time differences overflow the oscillation phase") from None
-    return np.cos(phase)
+def _interference_fraction(species: MesonSpecies, t_l, t_r, p: float = 0.0):
+    """a = cos(phase) / cosh(x), the antisymmetric pair's interference
+    weight at momentum p, with phase = (E_heavy - E_light)(t_r - t_l)/hbar
+    and x = (G_l - G_h)(t_r - t_l)/2 hbar; times broadcast.
+
+    It equals 2 cos(phase) e_int / (e1 + e2), since e1 + e2 = 2 e_int
+    cosh(x), and stays finite where both envelopes underflow.  The
+    conditional like-flavor probability is (1 - a (1-zeta))/4 and the
+    unlike-flavor one (1 + a (1-zeta))/4.  Raises OverflowError where the
+    phase overflows.
+    """
+    dt = t_r - t_l
+    cos = np.cos(_phase(species, dt, p))
+    with np.errstate(over="ignore"):  # a = 0 where cosh(x) overflows
+        x = 0.5 * (species.rate_light() - species.rate_heavy()) * dt
+        a = cos / np.cosh(x)
+    # |a| <= 1; clip away cosh round-off so log1p(-a) stays defined
+    return np.clip(a, -1.0, 1.0)
 
 
 def _zeta_terms(species: MesonSpecies, t_l, t_r, p: float = 0.0):
-    """(e1 + e2, 2 cos(phase) e_int) of the antisymmetric pair at momentum
-    p, times broadcast against each other: the like-flavor probability is
-    (e1 + e2 - (1 - zeta) 2 cos e_int) / 8, the unlike one has a plus."""
+    """(e1 + e2, a): the envelope e1 + e2 = exp(-G_l t_l - G_h t_r) +
+    exp(-G_h t_l - G_l t_r) of the antisymmetric pair and its interference
+    weight a (see _interference_fraction), times broadcast against each
+    other.  The like-flavor probability is (e1 + e2)(1 - (1 - zeta) a)/8,
+    the unlike one has a plus; like flavors at equal times give exactly 0
+    at zeta = 0."""
     g_l, g_h = species.rate_light(), species.rate_heavy()
     # a decay exponent that overflows to -inf gives exp(...) = 0 exactly
     with np.errstate(over="ignore"):
         e1 = np.exp(-g_l * t_l - g_h * t_r)
         e2 = np.exp(-g_h * t_l - g_l * t_r)
-        e_int = np.exp(-0.5 * (g_l + g_h) * (t_l + t_r))
-    return e1 + e2, 2.0 * _cos_phase(species, t_l, t_r, p) * e_int
+    return e1 + e2, _interference_fraction(species, t_l, t_r, p)
 
 
 def _damped_pair(t_left, t_right, species, momentum, like_flavor, damping):
-    """Zeta-form probability with the interference term scaled by
+    """Zeta-form probability with the interference weight scaled by
     damping(t_l, t_r); a float for scalar times."""
     t_l, t_r = _times(t_left, ValueError), _times(t_right, ValueError)
-    envelope, interference = _zeta_terms(species, t_l, t_r, momentum)
+    envelope, a = _zeta_terms(species, t_l, t_r, momentum)
     with np.errstate(over="ignore"):
         damp = damping(t_l, t_r)
     sign = -1.0 if like_flavor else 1.0
-    prob = 0.125 * (envelope + sign * interference * damp)
+    prob = 0.125 * envelope * (1.0 + sign * a * damp)
     return prob if prob.ndim else float(prob)
 
 
@@ -230,7 +242,7 @@ def equal_width_joint_probability(
             stacklevel=2,
         )
     gbar = 0.5 * (species.rate_light() + species.rate_heavy())
-    cos = _cos_phase(species, t_l, t_r, momentum)
+    cos = np.cos(_phase(species, t_r - t_l, momentum))
     with np.errstate(over="ignore"):
         envelope = np.exp(-gbar * (t_l + t_r))
     sign = -1.0 if like_flavor else 1.0

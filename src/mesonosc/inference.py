@@ -10,15 +10,12 @@ given the observed times.  This sidesteps absolute detection efficiency.
 from __future__ import annotations
 
 import math
-import operator
-from collections.abc import Iterable
 from dataclasses import dataclass
 
 import numpy as np
 
 from .constants import CONSTANTS, MesonSpecies
-from .entangle import _cos_phase, _zeta_terms
-from .oscillation import FlavorState
+from .entangle import _interference_fraction
 
 # 90% quantile of chi^2 with one degree of freedom, for the
 # likelihood-ratio interval Delta(-2 logL) <= threshold
@@ -29,32 +26,14 @@ _XTOL = 1e-10
 _MAX_STEPS = 100
 
 _HEADER = "t_left_s,t_right_s,flavor_left,flavor_right"
-# indexed by the anti-particle flag
-_FLAVOR = (FlavorState.PARTICLE, FlavorState.ANTIPARTICLE)
 _COLUMNS = ("t_left", "t_right", "anti_left", "anti_right")
-
-
-@dataclass(frozen=True)
-class EventRecord:
-    """One event: the two decay times in seconds and the two flavors."""
-
-    t_left: float
-    t_right: float
-    flavor_left: FlavorState
-    flavor_right: FlavorState
-
-    def __post_init__(self):
-        if not (math.isfinite(self.t_left) and math.isfinite(self.t_right)):
-            raise ValueError("non-finite event time")
-        if self.t_left < 0 or self.t_right < 0:
-            raise ValueError("times must be >= 0")
 
 
 @dataclass(frozen=True, eq=False)
 class EventTable:
     """Events as read-only columns: float64 decay times in seconds and a
     bool per side that is True where that side decayed as the
-    anti-particle.  ``table[i]`` and iteration give EventRecord rows."""
+    anti-particle."""
 
     t_left: np.ndarray
     t_right: np.ndarray
@@ -75,30 +54,8 @@ class EventTable:
             if t.size and t.min() < 0:
                 raise ValueError("times must be >= 0")
 
-    @classmethod
-    def from_records(cls, records: Iterable[EventRecord]) -> EventTable:
-        records = list(records)
-        return cls(
-            [e.t_left for e in records],
-            [e.t_right for e in records],
-            [e.flavor_left is FlavorState.ANTIPARTICLE for e in records],
-            [e.flavor_right is FlavorState.ANTIPARTICLE for e in records],
-        )
-
     def __len__(self) -> int:
         return self.t_left.size
-
-    def __getitem__(self, i: int) -> EventRecord:
-        i = operator.index(i)
-        return EventRecord(
-            float(self.t_left[i]), float(self.t_right[i]),
-            _FLAVOR[bool(self.anti_left[i])], _FLAVOR[bool(self.anti_right[i])],
-        )
-
-    def __iter__(self):
-        rows = zip(*(getattr(self, name).tolist() for name in _COLUMNS))
-        return (EventRecord(tl, tr, _FLAVOR[al], _FLAVOR[ar])
-                for tl, tr, al, ar in rows)
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, EventTable):
@@ -108,12 +65,6 @@ class EventTable:
 
     def __repr__(self) -> str:
         return f"EventTable(n={len(self)})"
-
-
-def _table(events: EventTable | Iterable[EventRecord]) -> EventTable:
-    if isinstance(events, EventTable):
-        return events
-    return EventTable.from_records(events)
 
 
 @dataclass(frozen=True)
@@ -134,27 +85,6 @@ def default_time_grid(species: MesonSpecies, n: int = 400) -> np.ndarray:
     """Grid of candidate decay times spanning several light-state lifetimes."""
     tau = CONSTANTS.hbar_mev_s / species.gamma_light
     return np.linspace(0.0, 12.0 * tau, n)
-
-
-def _interference_fraction(
-    species: MesonSpecies, t_l: np.ndarray, t_r: np.ndarray
-) -> np.ndarray:
-    """a = 2 cos(phase) e_int / (e1 + e2), the per-event interference weight.
-
-    The conditional like-flavor probability is (1 - a (1-zeta))/4 and the
-    unlike-flavor one (1 + a (1-zeta))/4.
-    """
-    envelope, interference = _zeta_terms(species, t_l, t_r)
-    lost = envelope < np.finfo(float).tiny
-    a = np.divide(interference, envelope, out=np.zeros_like(envelope),
-                  where=~lost)
-    if lost.any():  # both envelopes underflow: a = cos(phase) / cosh(x)
-        t_l, t_r = t_l[lost], t_r[lost]
-        x = 0.5 * (species.rate_light() - species.rate_heavy()) * (t_r - t_l)
-        with np.errstate(over="ignore"):  # 0 where cosh(x) overflows
-            a[lost] = _cos_phase(species, t_l, t_r, 0.0) / np.cosh(x)
-    # |a| <= 1 by AM-GM; clip away float round-off so log1p(-a) stays defined
-    return np.clip(a, -1.0, 1.0)
 
 
 def generate_events(
@@ -243,11 +173,7 @@ def _newton_root(fun, neg: float, pos: float, x: float) -> tuple[float, bool]:
     return x, False
 
 
-def fit_zeta(
-    events: EventTable | Iterable[EventRecord],
-    species: MesonSpecies,
-    cl: float = 0.90,
-) -> FitResult:
+def fit_zeta(events: EventTable, species: MesonSpecies) -> FitResult:
     """Maximize the conditional flavor-pair log-likelihood over zeta in [0,1].
 
     The confidence interval is the likelihood-ratio set
@@ -261,11 +187,8 @@ def fit_zeta(
     and each interval edge the root of the likelihood ratio minus 2.706,
     all found by safeguarded Newton steps.
     """
-    events = _table(events)
     if len(events) < 100:
         raise ValueError("need at least 100 events")
-    if not math.isclose(cl, 0.90):
-        raise ValueError("only the 90% CL threshold is tabulated")
 
     t_l, t_r = events.t_left, events.t_right
     like = events.anti_left == events.anti_right
@@ -354,7 +277,7 @@ def lambda_ratio(lam: float, species: MesonSpecies) -> float:
 _PAIR_CELLS = np.array([",P,P\n", ",P,A\n", ",A,P\n", ",A,A\n"], dtype=object)
 
 
-def events_to_csv(events: EventTable | Iterable[EventRecord]) -> str:
+def events_to_csv(events: EventTable) -> str:
     """The event file: a header, then one row per event with both times as
     %.12e and both flavors as P or A.
 
@@ -363,7 +286,6 @@ def events_to_csv(events: EventTable | Iterable[EventRecord]) -> str:
     Generated events draw their times from a grid (400 points by default),
     so a file of any length holds a few hundred distinct times.
     """
-    events = _table(events)
     n = len(events)
     times = np.concatenate((events.t_left, events.t_right))
     # unique by bit pattern, so -0.0 keeps its sign

@@ -149,6 +149,23 @@ def damping_exponent(
     return exponent if t.ndim else float(exponent)
 
 
+def _phase(species: MesonSpecies, t, p: float):
+    """The oscillation phase (E_heavy - E_light) t / hbar at momentum p, for
+    times or time differences t of either sign.
+
+    From about 1e295 s on (by species) the phase overflows, and 1j * inf
+    would make every probability NaN, so that raises OverflowError.
+    """
+    de = energy_difference(species, Eigenstate.HEAVY, Eigenstate.LIGHT, p)
+    try:
+        with np.errstate(over="raise"):
+            return de * t / CONSTANTS.hbar_mev_s
+    except FloatingPointError:
+        raise OverflowError(
+            f"times up to {np.max(np.abs(t)):g} s overflow the oscillation "
+            "phase") from None
+
+
 def _mass_factors(species: MesonSpecies, t, spec: DampingSpec, p: float,
                   include_decay: bool) -> np.ndarray:
     """P[..., j, k] = pkj(j, k, t) over the mass basis (light, heavy): one
@@ -156,19 +173,11 @@ def _mass_factors(species: MesonSpecies, t, spec: DampingSpec, p: float,
     t = _times(t, ValueError)
     hbar = CONSTANTS.hbar_mev_s
     light, heavy = Eigenstate.LIGHT, Eigenstate.HEAVY
-    # from about 1e295 s on (by species) the phase overflows, and 1j * inf
-    # would make every probability NaN
-    try:
-        with np.errstate(over="raise"):
-            phase = energy_difference(species, light, heavy, p) * t / hbar
-    except FloatingPointError:
-        raise OverflowError(
-            f"times up to {np.max(t):g} s overflow the oscillation "
-            "phase") from None
+    phase = _phase(species, t, p)
     exponent = damping_exponent(spec, species, light, heavy, t)
     zero = np.zeros_like(t)
     # entries (ll, lh, hl, hh) on a last axis, reshaped to [..., j, k]
-    phase = np.stack([zero, phase, -phase, zero], axis=-1)
+    phase = np.stack([zero, -phase, phase, zero], axis=-1)
     log_mag = -np.stack([zero, exponent, exponent, zero], axis=-1)
     if include_decay:
         widths = np.array([species.gamma_light, species.gamma_heavy])

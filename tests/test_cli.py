@@ -151,6 +151,15 @@ def test_file_errors_are_config_errors_and_write_nothing(tmp_path, argv):
     assert list(tmp_path.iterdir()) == []
 
 
+def test_manifest_error_leaves_no_data_file(tmp_path):
+    # the data file is written first; it goes again when its manifest
+    # cannot be written, here because a directory holds the manifest's name
+    (tmp_path / "x.csv.manifest.json").mkdir()
+    assert cli.main(["--out", str(tmp_path / "x.csv"), "rates"]) == 3
+    assert list(tmp_path.iterdir()) == [tmp_path / "x.csv.manifest.json"]
+    assert list((tmp_path / "x.csv.manifest.json").iterdir()) == []
+
+
 def test_custom_config(tmp_path):
     import mesonosc as m
     cfg = tmp_path / "cfg.json"
@@ -458,3 +467,64 @@ def test_fit_never_imports_scipy_optimize(tmp_path):
                           env={**os.environ, "PYTHONPATH": src})
     assert proc.returncode == 0
     assert json.loads(out.read_text())["converged"]
+
+
+# numpy 2.x names of the dispatch targets that hold its AVX-512 kernels;
+# cosh and other transcendentals may differ from the baseline kernels in
+# their last bits
+NO_AVX512 = "AVX512_ICL AVX512_SPR X86_V4"
+
+
+def _cpu_dispatch() -> set:
+    try:
+        from numpy._core import _multiarray_umath as umath
+    except ImportError:
+        return set()
+    return set(getattr(umath, "__cpu_dispatch__", ()))
+
+
+def _dispatch_runs(d) -> list:
+    """fit --save-events for every species, one single and one joint, with
+    their outputs under directory d."""
+    runs = [["--seed", "13", "--out", f"{d}/fit_{sp}.json", "fit",
+             "--species", sp, "--zeta-true", "0.3", "--n-events", "5000",
+             "--save-events", f"{d}/events_{sp}.csv"]
+            for sp in ("K0", "B0", "Bs", "D0")]
+    runs.append(["--out", f"{d}/single.csv", "single", "--model", "csl",
+                 "--kernel", "gauss:1e-10"])
+    runs.append(["--out", f"{d}/joint.csv", "joint", "--species", "Bs",
+                 "--t-left", "0:2e-12:15", "--t-right", "0:2e-12:15"])
+    return runs
+
+
+@pytest.mark.skipif(not set(NO_AVX512.split()) <= _cpu_dispatch(),
+                    reason="numpy build without these dispatch targets")
+def test_outputs_match_with_avx512_kernels_off(tmp_path):
+    # event files and CSVs are byte-equal across numpy's CPU dispatch
+    # paths; the fit JSON agrees to 1e-12 relative
+    default, baseline = tmp_path / "default", tmp_path / "baseline"
+    default.mkdir()
+    baseline.mkdir()
+    for argv in _dispatch_runs(default):
+        assert cli.main(argv) == 0
+    code = ("from mesonosc import cli\n"
+            f"for argv in {_dispatch_runs(baseline)!r}:\n"
+            "    assert cli.main(argv) == 0\n")
+    src = str(Path(cli.__file__).resolve().parents[1])
+    proc = subprocess.run(
+        [sys.executable, "-c", code], timeout=120,
+        env={**os.environ, "PYTHONPATH": src,
+             "NPY_DISABLE_CPU_FEATURES": NO_AVX512})
+    assert proc.returncode == 0
+    outputs = sorted(p.name for p in default.iterdir()
+                     if not p.name.endswith(".manifest.json"))
+    assert len(outputs) == 10
+    for name in outputs:
+        ours, theirs = (d.joinpath(name).read_bytes() for d in (default, baseline))
+        if name.endswith(".csv"):
+            assert ours == theirs, name
+            continue
+        ours, theirs = json.loads(ours), json.loads(theirs)
+        assert ours.keys() == theirs.keys()
+        for key, value in ours.items():
+            assert math.isclose(value, theirs[key], rel_tol=1e-12), (name, key)

@@ -183,18 +183,24 @@ def test_closed_forms_at_huge_times():
             form(1e300, 0.0, B0, *args)
 
 
+LIFETIMES = st.floats(0.0, 12.0)
+
+
 @settings(max_examples=60, deadline=None, derandomize=True)
 @given(
     sp=st.sampled_from([REG.get_species(n) for n in ("K0", "B0", "Bs", "D0")]),
     p_frac=st.sampled_from([0.0, 0.2, 1.0]),
-    pairs=st.lists(st.tuples(st.floats(0.0, 12.0), st.floats(0.0, 12.0)),
+    pairs=st.lists(st.one_of(st.tuples(LIFETIMES, LIFETIMES),
+                             LIFETIMES.map(lambda x: (x, x))),
                    min_size=1, max_size=8),
     zeta=st.floats(0.0, 1.0),
 )
 def test_closed_forms_are_array_native(sp, p_frac, pairs, zeta):
-    # times up to 12 light lifetimes, momenta up to the light mass
+    # times up to 12 light lifetimes, some pairs at equal times, momenta
+    # up to the light mass
     tau = HBAR / sp.gamma_light
     tl, tr = (tau * np.array(col) for col in zip(*pairs))
+    equal = tl == tr
     p = p_frac * sp.m_light
     lam = zeta / tau
     with warnings.catch_warnings():
@@ -206,10 +212,15 @@ def test_closed_forms_are_array_native(sp, p_frac, pairs, zeta):
             np.testing.assert_allclose(zeta0, general, rtol=0.0, atol=1e-15)
             assert np.array_equal(
                 m.min_time_joint_probability(tl, tr, sp, 0.0, p, like), zeta0)
+            if like:  # the EPR zero: no like-flavor pair at equal times
+                undamped = m.equal_width_joint_probability(tl, tr, sp, p, like)
+                assert np.all(zeta0[equal] == 0.0)
+                assert np.all(undamped[equal] == 0.0)
             for form, args in ((m.zeta_joint_probability, (zeta,)),
                                (m.min_time_joint_probability, (lam,)),
                                (m.equal_width_joint_probability, ())):
                 scalars = [form(a, b, sp, *args, p, like)
                            for a, b in zip(tl.tolist(), tr.tolist())]
                 assert all(type(x) is float for x in scalars)
+                assert all(x >= 0.0 for x in scalars)
                 assert np.array_equal(form(tl, tr, sp, *args, p, like), scalars)

@@ -16,7 +16,7 @@ HEADER = "t_left_s,t_right_s,flavor_left,flavor_right"
 COLUMNS = ("t_left", "t_right", "anti_left", "anti_right")
 
 # sha256 of events_to_csv(generate_events(sp, 0.27, 20000, 987654321)),
-# recorded while events were still a list of EventRecord rows written one
+# recorded while events were still a list of row records written one
 # f-string at a time: the seed-to-bytes map must not change
 GOLDEN_SHA256 = {
     "K0": "feee0bcd1f5deacd658e2723f3aa631852c7ef25475e9abaa75f91e340789165",
@@ -93,23 +93,16 @@ def test_csv_round_trip_is_bitwise(rows):
 
 def test_table_rows_behave_like_records():
     table = m.generate_events(K0, 0.3, 300, seed=4)
-    rows = list(table)
-    assert len(table) == len(rows) == 300
-    assert table[0] == rows[0] and table[-1] == rows[-1]
-    assert all(isinstance(r, m.EventRecord) for r in rows)
-    assert m.EventTable.from_records(rows) == table
+    cols = [getattr(table, name) for name in COLUMNS]
+    assert len(table) == 300
+    assert all(c.shape == (300,) for c in cols)
+    assert [c.dtype for c in cols] == [np.float64, np.float64, bool, bool]
+    assert m.EventTable(*cols) == table
     assert m.generate_events(K0, 0.3, 300, seed=5) != table
-    like = table.anti_left == table.anti_right
-    assert like.tolist() == [r.flavor_left is r.flavor_right for r in rows]
     with pytest.raises(ValueError):
         table.t_left[0] = 1.0  # columns are read-only
     with pytest.raises(TypeError):
-        table[0:2]
-
-
-def test_fit_reads_records_and_table_alike():
-    table = m.generate_events(K0, 0.4, 3000, seed=6)
-    assert m.fit_zeta(list(table), K0) == m.fit_zeta(table, K0)
+        table[0]  # events are columns, not rows
 
 
 def test_table_validation():
@@ -121,9 +114,6 @@ def test_table_validation():
         m.EventTable([1e-10], [-1e-10], [0], [0])
     with pytest.raises(ValueError, match="equal length"):
         m.EventTable([1e-10, 2e-10], [0.0], [0, 0], [0, 0])
-    with pytest.raises(ValueError, match="non-finite"):
-        m.EventRecord(np.nan, 0.0, m.FlavorState.PARTICLE,
-                      m.FlavorState.PARTICLE)
 
 
 @pytest.mark.parametrize("row, message", [

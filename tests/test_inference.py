@@ -84,7 +84,8 @@ def test_generated_flavor_fractions_track_zeta():
     # suppresses like-flavor pairs
     def like_fraction(zeta):
         events = m.generate_events(K0, zeta, 20000, seed=1)
-        return sum(e.flavor_left is e.flavor_right for e in events) / len(events)
+        like = events.anti_left == events.anti_right
+        return np.count_nonzero(like) / len(events)
 
     assert like_fraction(1.0) == pytest.approx(0.5, abs=0.02)
     assert like_fraction(0.0) < like_fraction(1.0) - 0.05
@@ -100,9 +101,8 @@ def test_fit_recovers_truth_within_interval():
 
 def test_likelihood_prefers_truth_over_zero():
     events = m.generate_events(K0, 0.5, 20000, seed=11)
-    t_l = np.array([e.t_left for e in events])
-    t_r = np.array([e.t_right for e in events])
-    like = np.array([e.flavor_left is e.flavor_right for e in events])
+    t_l, t_r = events.t_left, events.t_right
+    like = events.anti_left == events.anti_right
     a = m.inference._interference_fraction(K0, t_l, t_r)
     s = np.where(like, -1.0, 1.0)
 
@@ -210,11 +210,10 @@ def test_generation_rejects_seed_outside_64_bits(seed):
 
 
 def test_degenerate_dataset_raises():
-    ev = m.EventRecord(
-        1e-10, 1e-10, m.FlavorState.PARTICLE, m.FlavorState.ANTIPARTICLE
-    )
+    n = 200
+    events = m.EventTable([1e-10] * n, [1e-10] * n, [False] * n, [True] * n)
     with pytest.raises(ValueError, match="degenerate"):
-        m.fit_zeta([ev] * 200, K0)
+        m.fit_zeta(events, K0)
 
 
 def test_zeta_lambda_conversion_round_trip():
@@ -258,10 +257,9 @@ def test_event_csv_round_trip():
     text = m.events_to_csv(events)
     back = m.events_from_csv(text)
     assert len(back) == len(events)
-    for a, b in zip(events, back):
-        assert a.flavor_left is b.flavor_left
-        assert a.flavor_right is b.flavor_right
-        assert a.t_left == pytest.approx(b.t_left, rel=1e-11)
+    assert np.array_equal(events.anti_left, back.anti_left)
+    assert np.array_equal(events.anti_right, back.anti_right)
+    assert events.t_left == pytest.approx(back.t_left, rel=1e-11)
     assert text.splitlines()[0] == "t_left_s,t_right_s,flavor_left,flavor_right"
 
 
@@ -272,8 +270,3 @@ def test_event_csv_rejects_bad_input():
         m.events_from_csv(
             "t_left_s,t_right_s,flavor_left,flavor_right\n1e-10,1e-10,X,P\n"
         )
-
-
-def test_event_record_validation():
-    with pytest.raises(ValueError):
-        m.EventRecord(-1.0, 0.0, m.FlavorState.PARTICLE, m.FlavorState.PARTICLE)
