@@ -94,7 +94,6 @@ def _damping_from_args(args, reg: Registry):
         return CslDamping(
             params=reg.get_csl(args.csl_preset),
             kernel=_kernel_from_arg(args.kernel),
-            momentum=args.momentum,
             relativistic=args.relativistic,
         )
     if model == "lindblad":
@@ -102,16 +101,25 @@ def _damping_from_args(args, reg: Registry):
     raise ConfigError(f"unknown model '{model}'")
 
 
+def _saved_events(args) -> str | None:
+    """--save-events of a fit that generates its events, else None."""
+    return None if vars(args).get("events") else vars(args).get("save_events")
+
+
 def _write_output(args, text: str, manifest: dict):
     if args.out:
-        with open(args.out, "w", encoding="utf-8", newline="") as fh:
-            fh.write(text)
+        # files this run has written; none stays when an output fails
+        written = [path for path in (_saved_events(args),) if path]
         try:
+            with open(args.out, "w", encoding="utf-8", newline="") as fh:
+                written.append(args.out)
+                fh.write(text)
             with open(args.out + ".manifest.json", "w", encoding="utf-8") as fh:
                 # one write; json.dump would write every token separately
                 fh.write(json.dumps(manifest, indent=2, sort_keys=True) + "\n")
         except OSError:
-            os.remove(args.out)  # no data file without its manifest
+            for path in written:
+                os.remove(path)
             raise
     else:
         sys.stdout.write(text)
@@ -156,13 +164,6 @@ def _grid(spec: str) -> np.ndarray:
             or min(start, stop) < 0:
         raise ValueError(f"bad grid spec '{spec}'")
     return np.linspace(start, stop, n)
-
-
-def _finite(**flags: float) -> None:
-    """Reject a non-finite numeric flag as a usage error."""
-    for name, value in flags.items():
-        if not math.isfinite(value):
-            raise ValueError(f"--{name.replace('_', '-')} must be finite")
 
 
 def cmd_rates(args, reg: Registry) -> str:
@@ -236,12 +237,12 @@ def cmd_fit(args, reg: Registry) -> str:
             sp, args.zeta_true, args.n_events, args.seed,
             default_time_grid(sp),
         )
-        if args.save_events:
-            with open(args.save_events, "w", encoding="utf-8", newline="") as fh:
-                fh.write(events_to_csv(events))
     result = fit_zeta(events, sp)
     if not result.converged:
         raise PlanError("fit did not converge")
+    if _saved_events(args):
+        with open(args.save_events, "w", encoding="utf-8", newline="") as fh:
+            fh.write(events_to_csv(events))
     payload = {
         "ci_high": result.ci_high,
         "ci_low": result.ci_low,
@@ -254,7 +255,6 @@ def cmd_fit(args, reg: Registry) -> str:
 
 
 def cmd_overlap(args, reg: Registry) -> str:
-    _finite(sigma=args.sigma, r_c=args.r_c)
     left = GaussianPacket(0.0, args.sigma, -args.speed)
     right = GaussianPacket(0.0, args.sigma, args.speed)
     rows = [(t, separation(t, left, right),
@@ -264,7 +264,6 @@ def cmd_overlap(args, reg: Registry) -> str:
 
 
 def cmd_diag(args, reg: Registry) -> str:
-    _finite(r_c=args.r_c, t=args.t)
     sp = reg.get_species(args.species)
     payload = {
         "momentum_spread": momentum_spread_diagnostic(args.r_c),

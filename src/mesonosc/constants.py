@@ -46,24 +46,22 @@ class MesonSpecies:
 
     name: str
     m_light: float        # MeV/c^2
-    m_heavy: float        # MeV/c^2
+    # the mass splitting m_heavy - m_light, stored on its own: a difference
+    # of the two masses loses ~2 significant digits to float cancellation
+    # when the splitting is ~15 orders below the mass
+    delta_m: float        # MeV/c^2
     gamma_light: float    # MeV
     gamma_heavy: float    # MeV
     label_light: str = ""
     label_heavy: str = ""
-    # exact mass splitting; m_heavy - m_light loses ~2 significant digits to
-    # float cancellation when the splitting is ~15 orders below the mass
-    delta_m_mev: float | None = None
 
     def __post_init__(self):
         if self.m_light <= 0:
             raise ConfigError(f"{self.name}: non-positive mass")
-        if self.m_heavy < self.m_light:
-            raise ConfigError(f"{self.name}: m_heavy must be >= m_light")
+        if not self.delta_m >= 0:
+            raise ConfigError(f"{self.name}: mass splitting must be >= 0")
         if self.gamma_light < 0 or self.gamma_heavy < 0:
             raise ConfigError(f"{self.name}: negative width")
-        if self.delta_m_mev is not None and self.delta_m_mev < 0:
-            raise ConfigError(f"{self.name}: negative mass splitting")
         if self.name == "K0" and self.gamma_heavy > 0:
             ratio = self.gamma_light / self.gamma_heavy
             if ratio < 100.0:
@@ -74,11 +72,9 @@ class MesonSpecies:
                 )
 
     @property
-    def delta_m(self) -> float:
-        """Mass splitting m_heavy - m_light in MeV/c^2."""
-        if self.delta_m_mev is not None:
-            return self.delta_m_mev
-        return self.m_heavy - self.m_light
+    def m_heavy(self) -> float:
+        """Mass of the heavy eigenstate in MeV/c^2."""
+        return self.m_light + self.delta_m
 
     def rate_light(self) -> float:
         """Decay rate of the light eigenstate in s^-1."""
@@ -175,7 +171,8 @@ DEFAULT_CONFIG = {
 def load_config(text: str) -> Registry:
     """Build a Registry from a JSON document (see DEFAULT_CONFIG for schema).
 
-    Lifetimes are converted to widths via Gamma = hbar/tau.
+    Lifetimes are converted to widths via Gamma = hbar/tau, and an
+    'm_heavy_mev' to the stored splitting m_heavy_mev - m_light.
     """
     try:
         doc = json.loads(text)
@@ -193,10 +190,8 @@ def load_config(text: str) -> Registry:
             raise ConfigError(f"missing required field {exc}") from None
         if "delta_m_mev" in entry:
             delta_m = float(entry["delta_m_mev"])
-            m_heavy = m_light + delta_m
         elif "m_heavy_mev" in entry:
-            delta_m = None
-            m_heavy = float(entry["m_heavy_mev"])
+            delta_m = float(entry["m_heavy_mev"]) - m_light
         else:
             raise ConfigError(
                 f"{name}: provide either 'delta_m_mev' or 'm_heavy_mev'"
@@ -208,12 +203,11 @@ def load_config(text: str) -> Registry:
         species[name] = MesonSpecies(
             name=name,
             m_light=m_light,
-            m_heavy=m_heavy,
+            delta_m=delta_m,
             gamma_light=CONSTANTS.hbar_mev_s / tau_light,
             gamma_heavy=CONSTANTS.hbar_mev_s / tau_heavy,
             label_light=entry.get("label_light", ""),
             label_heavy=entry.get("label_heavy", ""),
-            delta_m_mev=delta_m,
         )
 
     presets: dict[str, CslParams] = {}
@@ -265,19 +259,3 @@ def dump_config(reg: Registry) -> str:
     }
     return json.dumps(doc, indent=2)
 
-
-def energy(m: float, p: float, mode: str = "nonrelativistic") -> float:
-    """Energy in MeV of a particle of mass m [MeV/c^2] and momentum p [MeV/c].
-
-    nonrelativistic: m c^2 + p^2/(2m);  relativistic: sqrt(p^2 c^2 + m^2 c^4).
-    The c factors are absorbed by the MeV unit convention.
-    """
-    if m <= 0:
-        raise ConfigError("non-positive mass")
-    if p < 0:
-        raise ConfigError("negative momentum")
-    if mode == "nonrelativistic":
-        return m + p * p / (2.0 * m)
-    if mode == "relativistic":
-        return math.hypot(p, m)
-    raise ConfigError(f"unknown energy mode '{mode}'")

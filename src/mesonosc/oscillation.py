@@ -46,12 +46,7 @@ class NoDamping(DampingSpec):
 class CslDamping(DampingSpec):
     params: CslParams
     kernel: NoiseKernel = field(default_factory=WhiteKernel)
-    momentum: float = 0.0        # MeV/c
     relativistic: bool = False
-
-    def __post_init__(self):
-        if not (math.isfinite(self.momentum) and self.momentum >= 0):
-            raise ValueError("momentum must be finite and >= 0")
 
 
 @dataclass(frozen=True)
@@ -63,13 +58,17 @@ class LindbladDamping(DampingSpec):
             raise ValueError("lambda_single must be finite and >= 0")
 
 
+def _check_momentum(p: float) -> None:
+    if not (math.isfinite(p) and p >= 0):
+        raise ValueError("momentum must be finite and >= 0")
+
+
 def energy_difference(species: MesonSpecies, j: Eigenstate, k: Eigenstate,
                       p: float = 0.0) -> float:
     """E_j - E_k [MeV] with nonrelativistic kinetic terms, built from the
     exact mass splitting so the near-degenerate masses never cancel:
     1/m_heavy - 1/m_light is written as -delta_m / (m_light m_heavy)."""
-    if not math.isfinite(p):
-        raise ValueError("momentum must be finite")
+    _check_momentum(p)
     if j is k:
         return 0.0
     de = species.delta_m - 0.5 * p * p * species.delta_m / (
@@ -97,6 +96,7 @@ def _effective_mass_difference(species: MesonSpecies, p: float) -> float:
     two m^2/E values directly would cancel catastrophically since the
     splitting sits ~15 orders below the masses.
     """
+    _check_momentum(p)
     mass = species.m_light
     e2 = mass * mass + p * p
     num = species.delta_m * mass * (mass * mass + 2.0 * p * p)
@@ -129,9 +129,10 @@ def damping_exponent(
     j: Eigenstate,
     k: Eigenstate,
     t,
+    p: float = 0.0,
 ):
     """Dimensionless exponent suppressing the (j,k) interference at time t,
-    a scalar or an array of times."""
+    a scalar or an array of times; relativistic CSL uses the momentum p."""
     t = _times(t, ValueError)
     if j is k or isinstance(spec, NoDamping):
         exponent = np.zeros_like(t)
@@ -140,7 +141,7 @@ def damping_exponent(
         with np.errstate(over="ignore"):
             exponent = spec.lambda_single * t
     elif isinstance(spec, CslDamping):
-        rate = (csl_damping_rate_relativistic(spec.params, species, spec.momentum)
+        rate = (csl_damping_rate_relativistic(spec.params, species, p)
                 if spec.relativistic else csl_damping_rate(spec.params, species))
         # the white-noise rate is the exponent's slope, coefficient of D = t/2
         exponent = 2.0 * rate * spec.kernel.growth_integral(t)
@@ -174,7 +175,7 @@ def _mass_factors(species: MesonSpecies, t, spec: DampingSpec, p: float,
     hbar = CONSTANTS.hbar_mev_s
     light, heavy = Eigenstate.LIGHT, Eigenstate.HEAVY
     phase = _phase(species, t, p)
-    exponent = damping_exponent(spec, species, light, heavy, t)
+    exponent = damping_exponent(spec, species, light, heavy, t, p)
     zero = np.zeros_like(t)
     # entries (ll, lh, hl, hh) on a last axis, reshaped to [..., j, k]
     phase = np.stack([zero, -phase, phase, zero], axis=-1)
@@ -246,23 +247,20 @@ def lindblad_density_matrix(
     flavor-particle initial state (all entries 1/2) dephasing at rate
     lambda_single under mass-basis Lindblad generators.
     """
-    if t < 0:
-        raise ValueError("negative time")
-    if lambda_single < 0:
-        raise ValueError("lambda_single must be >= 0")
+    _times(t, ValueError)  # the time and the rate checked where they are owned
+    LindbladDamping(lambda_single)
     g_l, g_h = species.rate_light(), species.rate_heavy()
     phase = -species.delta_m * t / CONSTANTS.hbar_mev_s
     off = 0.5 * np.exp(
         1j * phase - 0.5 * (g_l + g_h) * t - lambda_single * t
     )
-    rho = np.array(
+    return np.array(
         [
             [0.5 * math.exp(-g_l * t), off],
             [np.conj(off), 0.5 * math.exp(-g_h * t)],
         ],
         dtype=complex,
     )
-    return rho
 
 
 def momentum_spread_diagnostic(r_c: float) -> dict:
@@ -272,8 +270,8 @@ def momentum_spread_diagnostic(r_c: float) -> dict:
     often-quoted 12 eV/c matches h/r_C instead.  Both are reported; the
     factor-2pi discrepancy is surfaced, not resolved.
     """
-    if not r_c > 0:
-        raise ValueError("r_c must be positive")
+    if not 0 < r_c < math.inf:
+        raise ValueError("r_c must be finite and positive")
     hbar_c_mev_cm = CONSTANTS.hbar_mev_s * CONSTANTS.c_cm_s  # MeV cm
     p_hbar_ev = hbar_c_mev_cm / r_c * 1e6
     p_h_ev = 2.0 * math.pi * p_hbar_ev
@@ -292,8 +290,8 @@ def phase_magnitude_diagnostic(species: MesonSpecies, t: float) -> dict:
     t = 1.6e-7 s is ~2.7e-16; direct evaluation differs by a factor of
     several, which is flagged as an order-of-magnitude comparison only.
     """
-    if not t >= 0:
-        raise ValueError("t must be >= 0")
+    if not 0 <= t < math.inf:
+        raise ValueError("t must be finite and >= 0")
     coeff_ev = t / (2.0 * CONSTANTS.hbar_mev_s) * species.delta_m / (
         species.m_light * species.m_heavy
     ) * 1e-12

@@ -40,8 +40,8 @@ def cross_term_kernel_overlap(
     For dims = 3 the separation lies along one axis; the transverse factors
     use d = 0.
     """
-    if sigma <= 0 or r_c <= 0:
-        raise ValueError("sigma and r_c must be positive")
+    if not (sigma > 0 and 0 < r_c < math.inf):
+        raise ValueError("sigma must be positive and r_c finite and positive")
     if d < 0:
         raise ValueError("separation must be >= 0")
     if dims not in (1, 3):

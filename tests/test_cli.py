@@ -144,6 +144,8 @@ def test_missing_config_file_is_config_error():
     ["--out", "{d}/x.json", "fit", "--events", "{d}"],
     ["--out", "{d}/x.json", "fit", "--zeta-true", "0.2", "--n-events", "100",
      "--save-events", "{d}"],
+    ["--out", "{d}/missing/x.json", "fit", "--zeta-true", "0.2",
+     "--n-events", "200", "--save-events", "{d}/ev.csv"],
 ])
 def test_file_errors_are_config_errors_and_write_nothing(tmp_path, argv):
     # a missing output directory, or a directory where a file belongs
@@ -158,6 +160,39 @@ def test_manifest_error_leaves_no_data_file(tmp_path):
     assert cli.main(["--out", str(tmp_path / "x.csv"), "rates"]) == 3
     assert list(tmp_path.iterdir()) == [tmp_path / "x.csv.manifest.json"]
     assert list((tmp_path / "x.csv.manifest.json").iterdir()) == []
+
+
+def test_manifest_error_leaves_no_event_file(tmp_path):
+    # the saved events go with the data file they belong to
+    (tmp_path / "fit.json.manifest.json").mkdir()
+    assert cli.main(["--out", str(tmp_path / "fit.json"), "fit",
+                     "--zeta-true", "0.2", "--n-events", "200",
+                     "--save-events", str(tmp_path / "ev.csv")]) == 3
+    assert list(tmp_path.iterdir()) == [tmp_path / "fit.json.manifest.json"]
+
+
+def test_failed_fit_leaves_no_event_file(tmp_path):
+    # 50 events hold too little information to fit: a usage error, and
+    # the events are not saved either
+    assert cli.main(["--out", str(tmp_path / "fit.json"), "fit",
+                     "--zeta-true", "0.2", "--n-events", "50",
+                     "--save-events", str(tmp_path / "ev.csv")]) == 2
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_fit_of_an_event_file_leaves_save_events_path_alone(tmp_path):
+    # --save-events applies to generated events only: a fit that reads a
+    # file neither writes that path nor, when an output fails, removes it
+    events, other = tmp_path / "events.csv", tmp_path / "other.csv"
+    run(["fit", "--zeta-true", "0.3", "--n-events", "500",
+         "--save-events", str(events)], tmp_path, "saved.json")
+    other.write_text("keep\n")
+    argv = ["fit", "--events", str(events), "--save-events", str(other)]
+    assert run(argv, tmp_path, "fit.json")[0] == 0
+    assert other.read_text() == "keep\n"
+    (tmp_path / "bad.json.manifest.json").mkdir()
+    assert run(argv, tmp_path, "bad.json")[0] == 3
+    assert other.read_text() == "keep\n"
 
 
 def test_custom_config(tmp_path):
@@ -231,6 +266,17 @@ def test_calls_in_one_process_match_fresh_processes(tmp_path):
 def test_non_finite_packet_flags_are_usage_errors(tmp_path, argv):
     out = tmp_path / "bad.out"
     assert cli.main(["--out", str(out)] + argv) == 2
+    assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("command", ["single", "joint"])
+@pytest.mark.parametrize("model", ["none", "lindblad", "csl"])
+@pytest.mark.parametrize("momentum", ["-1", "nan"])
+def test_bad_momentum_is_usage_error_under_every_model(tmp_path, command,
+                                                       model, momentum):
+    out = tmp_path / "bad.csv"
+    assert cli.main(["--out", str(out), command, "--model", model,
+                     "--momentum", momentum]) == 2
     assert list(tmp_path.iterdir()) == []
 
 
@@ -484,16 +530,23 @@ def _cpu_dispatch() -> set:
 
 
 def _dispatch_runs(d) -> list:
-    """fit --save-events for every species, one single and one joint, with
-    their outputs under directory d."""
+    """fit --save-events for every species, two single, one joint and one
+    mc, with their outputs under directory d."""
     runs = [["--seed", "13", "--out", f"{d}/fit_{sp}.json", "fit",
              "--species", sp, "--zeta-true", "0.3", "--n-events", "5000",
              "--save-events", f"{d}/events_{sp}.csv"]
             for sp in ("K0", "B0", "Bs", "D0")]
     runs.append(["--out", f"{d}/single.csv", "single", "--model", "csl",
                  "--kernel", "gauss:1e-10"])
+    runs.append(["--out", f"{d}/single_rel.csv", "single", "--model", "csl",
+                 "--relativistic", "--momentum", "700",
+                 "--kernel", "gauss:1e-10"])
     runs.append(["--out", f"{d}/joint.csv", "joint", "--species", "Bs",
                  "--t-left", "0:2e-12:15", "--t-right", "0:2e-12:15"])
+    runs.append(["--seed", "9", "--out", f"{d}/mc.json", "mc", "--gamma-j",
+                 "4", "--gamma-k", "1", "--f0", "1", "--t", "1",
+                 "--n-trajectories", "2000", "--n-steps", "20",
+                 "--kernel", "exp:0.5"])
     return runs
 
 
@@ -518,7 +571,7 @@ def test_outputs_match_with_avx512_kernels_off(tmp_path):
     assert proc.returncode == 0
     outputs = sorted(p.name for p in default.iterdir()
                      if not p.name.endswith(".manifest.json"))
-    assert len(outputs) == 10
+    assert len(outputs) == 12
     for name in outputs:
         ours, theirs = (d.joinpath(name).read_bytes() for d in (default, baseline))
         if name.endswith(".csv"):

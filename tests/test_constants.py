@@ -30,8 +30,14 @@ def test_exact_mass_splitting_avoids_cancellation():
 
 
 def test_m_heavy_fallback_when_no_splitting_given():
-    sp = m.MesonSpecies("X", 100.0, 101.0, 1e-9, 1e-9)
-    assert sp.delta_m == pytest.approx(1.0)
+    # a config may give the heavy mass instead; it is converted to the
+    # stored splitting once, at load
+    doc = {"species": [{"name": "X", "m_light_mev": 100.0,
+                        "m_heavy_mev": 101.0, "tau_light_s": 1e-10,
+                        "tau_heavy_s": 1e-10}]}
+    sp = m.load_config(json.dumps(doc)).get_species("X")
+    assert sp.delta_m == 1.0
+    assert sp.m_heavy == 101.0
 
 
 def test_config_round_trip():
@@ -78,19 +84,7 @@ def test_nonpositive_lifetime_raises():
 
 def test_kaon_width_ratio_warning():
     with pytest.warns(UserWarning, match="width ratio"):
-        m.MesonSpecies("K0", 497.611, 497.612, 1e-9, 1e-9)
-
-
-def test_energy_modes():
-    assert m.energy(100.0, 0.0) == 100.0
-    assert m.energy(100.0, 10.0, "nonrelativistic") == pytest.approx(100.5)
-    assert m.energy(100.0, 10.0, "relativistic") == pytest.approx(
-        math.sqrt(100.0**2 + 10.0**2)
-    )
-    with pytest.raises(m.ConfigError):
-        m.energy(100.0, 1.0, "ultra")
-    with pytest.raises(m.ConfigError):
-        m.energy(-1.0, 1.0)
+        m.MesonSpecies("K0", 497.611, 0.001, 1e-9, 1e-9)
 
 
 def test_csl_params_validation():

@@ -49,7 +49,7 @@ def damping(kind, sp):
     if kind == "gauss":
         return m.CslDamping(params=params, kernel=m.GaussianKernel(0.4 * tau))
     return m.CslDamping(params=params, kernel=m.ExponentialKernel(0.4 * tau),
-                        momentum=0.5 * sp.m_light, relativistic=True)
+                        relativistic=True)
 
 
 species_st = st.sampled_from(SPECIES)
@@ -68,7 +68,7 @@ def reference_pkj(sp, j, k, t, spec, p, decay):
     decay_exp = (width[j] + width[k]) * t / (2.0 * HBAR) if decay else 0.0
     phase = m.energy_difference(sp, j, k, p) * t / HBAR
     return cmath.exp(-decay_exp + 1j * phase
-                     - m.damping_exponent(spec, sp, j, k, t))
+                     - m.damping_exponent(spec, sp, j, k, t, p))
 
 
 def loop_single(final, sp, t, spec, p, decay):
@@ -113,8 +113,9 @@ def test_array_single_equals_scalar_calls(sp, kind, units, p_units, decay):
             scalars = [m.pkj(sp, j, k, float(x), spec, p, decay) for x in t]
             assert all(type(s) is complex for s in scalars)
             np.testing.assert_allclose(arr, scalars, rtol=1e-12, atol=0.0)
-            arr = m.damping_exponent(spec, sp, j, k, t)
-            scalars = [m.damping_exponent(spec, sp, j, k, float(x)) for x in t]
+            arr = m.damping_exponent(spec, sp, j, k, t, p)
+            scalars = [m.damping_exponent(spec, sp, j, k, float(x), p)
+                       for x in t]
             np.testing.assert_allclose(arr, scalars, rtol=1e-12, atol=0.0)
 
 

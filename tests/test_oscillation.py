@@ -136,6 +136,25 @@ def test_damping_exponent_zero_on_diagonal():
     assert m.damping_exponent(m.NoDamping(), K0, Eigenstate.LIGHT, Eigenstate.HEAVY, 1e-9) == 0.0
 
 
+@pytest.mark.parametrize("kernel", [m.WhiteKernel(), m.ExponentialKernel(1e-10),
+                                    m.GaussianKernel(1e-10)])
+@pytest.mark.parametrize("p", [30.0, 700.0, 5000.0])
+def test_relativistic_exponent_uses_the_call_momentum(kernel, p):
+    # the one momentum of the call sets the damping rate as it sets the
+    # phase: 2 rate(p) D(t)
+    spec = m.CslDamping(params=STRONG, kernel=kernel, relativistic=True)
+    t = np.linspace(0.0, 1e-9, 7)
+    expected = (2.0 * m.csl_damping_rate_relativistic(STRONG, K0, p)
+                * kernel.growth_integral(t))
+    assert m.damping_exponent(
+        spec, K0, Eigenstate.LIGHT, Eigenstate.HEAVY, t, p).tolist() == \
+        expected.tolist()
+    # and differs from the exponent at rest
+    assert m.damping_exponent(
+        spec, K0, Eigenstate.LIGHT, Eigenstate.HEAVY, 1e-9, p) != \
+        m.damping_exponent(spec, K0, Eigenstate.LIGHT, Eigenstate.HEAVY, 1e-9)
+
+
 def test_exponential_kernel_damping_approaches_white():
     t = 1e-9
     white = m.damping_exponent(
@@ -199,6 +218,22 @@ def test_diagnostics_report_documented_scales():
     assert 1e-17 < ph["coefficient_per_ev2"] < 1e-14
 
 
+@pytest.mark.parametrize("bad", [math.nan, math.inf, 0.0, -1.0])
+def test_diagnostics_reject_out_of_domain_input(bad):
+    with pytest.raises(ValueError):
+        m.momentum_spread_diagnostic(bad)
+    if bad != 0.0:
+        with pytest.raises(ValueError):
+            m.phase_magnitude_diagnostic(K0, bad)
+
+
+def test_lindblad_density_matrix_rejects_out_of_domain_input():
+    for t, lam in ((-1.0, 1e9), (math.nan, 1e9), (math.inf, 1e9),
+                   (1e-10, -1.0), (1e-10, math.nan), (1e-10, math.inf)):
+        with pytest.raises(ValueError):
+            m.lindblad_density_matrix(K0, t, lam)
+
+
 def test_negative_time_raises():
     with pytest.raises(ValueError):
         m.transition_probability(FlavorState.PARTICLE, FlavorState.PARTICLE, K0, -1.0)
@@ -233,7 +268,10 @@ def test_non_finite_inputs_raise():
     with pytest.raises(ValueError):
         m.LindbladDamping(math.inf)
     with pytest.raises(ValueError):
-        m.CslDamping(params=STRONG, momentum=math.nan)
+        m.transition_probability(
+            FlavorState.PARTICLE, FlavorState.PARTICLE, K0, 1e-10, p=math.nan)
+    with pytest.raises(ValueError):
+        m.csl_damping_rate_relativistic(STRONG, K0, math.nan)
     with pytest.raises(ValueError):
         m.energy_difference(K0, Eigenstate.HEAVY, Eigenstate.LIGHT, p=math.inf)
 

@@ -85,6 +85,9 @@ def test_validation():
         m.cross_term_kernel_overlap(-1.0, 1.0, 1.0)
     with pytest.raises(ValueError):
         m.cross_term_kernel_overlap(1.0, 1.0, 1.0, dims=2)
+    for r_c in (math.nan, math.inf, 0.0):
+        with pytest.raises(ValueError):
+            m.cross_term_kernel_overlap(1.0, 1.0, r_c)
     p = m.GaussianPacket(0.0, 1.0, 0.0)
     with pytest.raises(ValueError):
         m.suppression_ratio(-1.0, p, p, 1.0)
