@@ -56,12 +56,15 @@ class MesonSpecies:
     label_heavy: str = ""
 
     def __post_init__(self):
-        if self.m_light <= 0:
-            raise ConfigError(f"{self.name}: non-positive mass")
-        if not self.delta_m >= 0:
-            raise ConfigError(f"{self.name}: mass splitting must be >= 0")
-        if self.gamma_light < 0 or self.gamma_heavy < 0:
-            raise ConfigError(f"{self.name}: negative width")
+        # written so that NaN fails each check
+        if not (math.isfinite(self.m_light) and self.m_light > 0):
+            raise ConfigError(f"{self.name}: mass must be finite and > 0")
+        if not (math.isfinite(self.delta_m) and self.delta_m >= 0):
+            raise ConfigError(
+                f"{self.name}: mass splitting must be finite and >= 0")
+        if not all(math.isfinite(g) and g >= 0
+                   for g in (self.gamma_light, self.gamma_heavy)):
+            raise ConfigError(f"{self.name}: widths must be finite and >= 0")
         if self.name == "K0" and self.gamma_heavy > 0:
             ratio = self.gamma_light / self.gamma_heavy
             if ratio < 100.0:
@@ -198,8 +201,9 @@ def load_config(text: str) -> Registry:
             )
         if name in species:
             raise ConfigError(f"duplicate species '{name}'")
-        if tau_light <= 0 or tau_heavy <= 0:
-            raise ConfigError(f"{name}: non-positive lifetime")
+        if not all(math.isfinite(tau) and tau > 0
+                   for tau in (tau_light, tau_heavy)):
+            raise ConfigError(f"{name}: lifetimes must be finite and > 0")
         species[name] = MesonSpecies(
             name=name,
             m_light=m_light,

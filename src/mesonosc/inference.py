@@ -301,12 +301,16 @@ def events_to_csv(events: EventTable) -> str:
 
 # the characters other than "\n" that str.strip removes from an ASCII line
 _ASCII_WHITESPACE = "\t\x0b\x0c\r\x1c\x1d\x1e\x1f "
-# A time cell of at most _KEY_BYTES bytes is keyed by those bytes, taken
-# from the window of _KEY_BYTES bytes that ends where the cell ends and
-# masked by _KEY_MASKS[n], which keeps the last n bytes of a window.
+# A time cell of at most _KEY_BYTES bytes is keyed by those bytes, read as
+# little-endian uint64 words that end where the cell ends; the bytes of a
+# word that lie before the cell are set to 0xFF, a byte UTF-8 never holds,
+# so cells of different lengths have different keys.
 _KEY_BYTES = 24
-_KEY_MASKS = np.frombuffer(
-    b"".join(bytes(_KEY_BYTES - n) + b"\xff" * n
+# the general path reads a cell's key from the window of _KEY_BYTES bytes
+# that ends where the cell ends, or-ed with _KEY_PADS[n], which sets all
+# but the last n bytes of a window
+_KEY_PADS = np.frombuffer(
+    b"".join(b"\xff" * (_KEY_BYTES - n) + bytes(n)
              for n in range(_KEY_BYTES + 1)), f"V{_KEY_BYTES}")
 # odd multipliers that hash a key's words; the top _SLOT_BITS bits of the
 # hash pick a slot of the table that pairs equal keys
@@ -338,36 +342,35 @@ def _row_bounds(buf: np.ndarray, offset: int) -> np.ndarray:
     return bounds
 
 
-def _first_equal_cell(buf: np.ndarray, end: np.ndarray,
-                      length: np.ndarray) -> np.ndarray:
-    """For each cell buf[end - length:end], a cell with the same bytes
-    that maps to itself.
+def _first_equal_key(words: list[np.ndarray], same: np.ndarray) -> np.ndarray:
+    """For each key, the index of a key with the same words that maps to
+    itself; a key whose entry in same is False maps to itself.
 
-    A cell longer than a key maps to itself.  Cells that share a hash slot
-    are compared key against key, so a collision leaves a cell mapping to
-    itself, never to a different cell.  Every window lies inside buf,
-    because the header line is longer than a key.
+    A key is one entry of each array in words (uint64, at most three).
+    Keys that share a hash slot are compared word by word, so a collision
+    leaves a key mapping to itself, never to a different key.  same is
+    updated in place.
     """
-    count = end.size
-    windows = np.ndarray((buf.size - _KEY_BYTES + 1,), f"V{_KEY_BYTES}",
-                         buf, strides=(1,))
-    keys = windows[end - _KEY_BYTES]
-    words = keys.view(np.uint64).reshape(count, 3)
-    words &= _KEY_MASKS[np.minimum(length, _KEY_BYTES)].view(
-        np.uint64).reshape(count, 3)
-    mixed = length.astype(np.uint64)
-    for word, mix in zip(words.T, _KEY_MIX):
+    mixed = words[0] * _KEY_MIX[0]
+    for word, mix in zip(words[1:], _KEY_MIX[1:]):
         mixed ^= word * mix
     mixed >>= np.uint64(64 - _SLOT_BITS)
     slot = mixed.view(np.int64)
-    index = np.arange(count)
+    index = np.arange(same.size)
     table = np.empty(1 << _SLOT_BITS, np.intp)
     table[slot] = index
     other = table[slot]
-    same = (length <= _KEY_BYTES) & (length == length[other])
-    for word in words.T:
+    for word in words:
         same &= word == word[other]
     return np.where(same, other, index)
+
+
+def _float_cells(joined: str) -> np.ndarray:
+    """``float()`` of each cell of joined, where every cell ends with a
+    comma, as one array; raises ValueError if a cell does not parse."""
+    cells = joined.split(",")
+    del cells[-1]
+    return np.array(cells, dtype=float)
 
 
 def _parse_cells(buf: np.ndarray, end: np.ndarray,
@@ -378,10 +381,19 @@ def _parse_cells(buf: np.ndarray, end: np.ndarray,
     The cells are the time cells of the rows in file order, each row's
     left cell before its right one, and a comma follows each.  If a cell
     does not parse, the first such cell of the left column, or else of
-    the right one, raises float()'s error.
+    the right one, raises float()'s error.  Every key window lies inside
+    buf, because the header line is longer than a key.
     """
-    source = _first_equal_cell(buf, end, length)
-    parsed = source == np.arange(source.size)
+    count = end.size
+    windows = np.ndarray((buf.size - _KEY_BYTES + 1,), f"V{_KEY_BYTES}",
+                         buf, strides=(1,))
+    words = windows[end - _KEY_BYTES].view(np.uint64).reshape(count, 3)
+    words |= _KEY_PADS[np.minimum(length, _KEY_BYTES)].view(
+        np.uint64).reshape(count, 3)
+    # a cell longer than a key maps to itself
+    source = _first_equal_key(list(words.T), length <= _KEY_BYTES)
+    del words
+    parsed = source == np.arange(count)
     which = (np.cumsum(parsed) - 1)[source]
     # keep the bytes of each cell parsed and the comma after it, and split
     # them as text in one call; runs of bytes dropped and kept alternate
@@ -394,18 +406,70 @@ def _parse_cells(buf: np.ndarray, end: np.ndarray,
     kept[1::2] = True
     keep = np.repeat(kept, np.diff(edges))
     del last, edges, kept  # free each temporary before the next is made
-    text = buf[keep].tobytes().decode("utf-8", "surrogatepass")
+    joined = buf[keep].tobytes().decode("utf-8", "surrogatepass")
     del keep
-    cells = text.split(",")
-    del text, cells[-1]
     try:
-        values = np.array(cells, dtype=float)
+        values = _float_cells(joined)
     except ValueError:
         # the first cell that fails, left column before right, raises
+        cells = joined.split(",")
         for i in which.reshape(-1, 2).T.ravel().tolist():
             float(cells[i])
         raise
     return values[which]
+
+
+def _uniform_columns(raw: bytes, offset: int) -> tuple | None:
+    """The event columns of raw, an ASCII file without whitespace other
+    than newlines, whose header ends at raw[offset - 1] and whose last
+    line ends with a newline; None unless every row has one layout and
+    parses.
+
+    That layout is two time cells of one width w, 1 <= w <= _KEY_BYTES,
+    and two one-byte flavor codes P or A: w + 1 + w + 4 bytes and a
+    newline, with w set by the first comma.  The separators and codes are
+    columns of the (rows, width) view of the body, and each time cell is
+    keyed by strided words.  Equal keys are equal cells, so checking that
+    the distinct cells hold no comma or newline checks them all.
+    """
+    w = raw.find(b",", offset) - offset
+    width = 2 * w + 6
+    n, rest = divmod(len(raw) - offset, width)
+    if not 0 < w <= _KEY_BYTES or rest or n == 0:
+        return None
+    body = np.frombuffer(raw, np.uint8, n * width, offset)
+    rows = body.reshape(n, width)
+    code = rows[:, 2 * w + 2::2]
+    if not ((rows[:, w] == ord(",")).all()
+            and (rows[:, 2 * w + 1:-1:2] == ord(",")).all()
+            and (rows[:, -1] == ord("\n")).all()
+            and ((code == ord("P")) | (code == ord("A"))).all()):
+        return None
+    # word k of a cell ends 8 k bytes before the cell does; the left and
+    # right cells of a row lie w + 1 bytes apart
+    words = []
+    for k in range(-(-w // 8)):
+        view = np.ndarray((2, n), "<u8", raw, offset + w - 8 * (k + 1),
+                          (w + 1, width))
+        pad = (1 << 8 * max(0, 8 * (k + 1) - w)) - 1
+        words.append((view | np.uint64(pad)).ravel())
+    source = _first_equal_key(words, np.ones(2 * n, bool))
+    del words
+    parsed = source == np.arange(2 * n)
+    side, row = np.divmod(np.flatnonzero(parsed), n)
+    # the bytes of each distinct cell and the comma after it
+    cells = np.ndarray((2, n, w + 1), np.uint8, raw, offset,
+                       (w + 1, width, 1))
+    joined = cells[side, row].tobytes()
+    if joined.count(b",") != side.size or b"\n" in joined:
+        return None
+    try:
+        values = _float_cells(joined.decode("ascii"))
+    except ValueError:
+        return None
+    times = values[(np.cumsum(parsed) - 1)[source]]
+    anti = code == ord("A")
+    return times[:n], times[n:], anti[:, 0], anti[:, 1]
 
 
 def events_from_csv(text: str) -> EventTable:
@@ -417,9 +481,15 @@ def events_from_csv(text: str) -> EventTable:
     it, and times parse as ``float()`` does, correctly rounded; the first
     time that does not parse, left column before right, is named.
 
-    The file is read as bytes: one pass finds the commas and newlines and
-    checks every row, and the distinct time cells are gathered and
-    converted in one call, each once.
+    The file is read as bytes, and its rows are found one of two ways.
+    When the file is ASCII with no whitespace but newlines and every row
+    has the first row's width, both time cells one width of at most 24
+    bytes and one-byte flavor codes (as every file events_to_csv writes
+    does), rows, commas and codes lie at fixed strides and are checked
+    and read as columns.  Any other file, and any file that does not
+    parse, takes the general path: one pass finds the commas and newlines
+    and checks every row, and it alone raises.  Either way the distinct
+    time cells are gathered and converted in one call, each once.
     """
     cut = text.find("\n")
     header = text[:cut] if cut >= 0 else text
@@ -430,6 +500,9 @@ def events_from_csv(text: str) -> EventTable:
             text += "\n"  # every line, the last too, ends with a newline
         raw = text.encode("ascii")
         offset = len(header) + 1
+        columns = _uniform_columns(raw, offset)
+        if columns is not None:
+            return EventTable(*columns)
     else:
         # str.strip also removes Unicode whitespace; strip lines as text
         body = text[len(header) + 1:]

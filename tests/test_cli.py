@@ -204,6 +204,18 @@ def test_custom_config(tmp_path):
     assert len(out.read_text().splitlines()) == 5
 
 
+def test_non_finite_species_config_is_config_error(tmp_path):
+    # json reads NaN; a NaN lifetime would make every probability NaN
+    import mesonosc as m
+    cfg = m.DEFAULT_CONFIG | {"species": [
+        dict(sp, tau_light_s=math.nan) for sp in m.DEFAULT_CONFIG["species"]]}
+    (tmp_path / "cfg.json").write_text(json.dumps(cfg))
+    out = tmp_path / "single.csv"
+    assert cli.main(["--config", str(tmp_path / "cfg.json"), "--out",
+                     str(out), "single", "--t-grid", "0:1e-9:3"]) == 3
+    assert list(tmp_path.iterdir()) == [tmp_path / "cfg.json"]
+
+
 @pytest.mark.parametrize("argv", [
     ["single", "--t-grid", "0:nan:3"],
     ["single", "--t-grid", "0:inf:3"],

@@ -98,3 +98,26 @@ def test_non_finite_csl_parameters_rejected():
             m.CslParams(gamma=bad, r_c=1e-5, m0=940.0)
         with pytest.raises(m.ConfigError):
             m.CslParams(gamma=1e-22, r_c=bad, m0=940.0)
+
+
+# json.loads reads NaN and Infinity; every species field must reject them
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+@pytest.mark.parametrize("field", ["m_light_mev", "delta_m_mev",
+                                   "m_heavy_mev", "tau_light_s",
+                                   "tau_heavy_s"])
+def test_non_finite_species_inputs_rejected(field, bad):
+    entry = {"name": "X", "m_light_mev": 100.0, "delta_m_mev": 1e-12,
+             "tau_light_s": 1e-10, "tau_heavy_s": 1e-8}
+    if field == "m_heavy_mev":
+        del entry["delta_m_mev"]
+    entry[field] = bad
+    text = json.dumps({"species": [entry]})
+    with pytest.raises(m.ConfigError, match="finite"):
+        m.load_config(text)
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf])
+def test_non_finite_species_widths_rejected(bad):
+    for widths in ((bad, 1e-12), (1e-12, bad)):
+        with pytest.raises(m.ConfigError, match="finite"):
+            m.MesonSpecies("X", 100.0, 1e-12, *widths)

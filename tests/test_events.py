@@ -9,6 +9,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import mesonosc as m
+from mesonosc import inference
 
 REG = m.default_registry()
 K0 = REG.get_species("K0")
@@ -260,6 +261,8 @@ def event_files(draw):
 @example(f"{HEADER}\n2.0000000000000000000e-10,1.0000000000000000000e-10,P,A\n"
          f"1.0000000000000000000e-10,2.0000000000000000000e-10,A,P\n")
 @example(HEADER)
+# cells that differ only by leading NUL bytes are different cells
+@example(f"{HEADER}\n\x001e-10,2e-10,P,A\n2e-10,1e-10,A,A\n")
 def test_parse_matches_reference_parser(text):
     assert parse_outcome(m.events_from_csv, text) == \
         parse_outcome(reference_events_from_csv, text)
@@ -285,15 +288,17 @@ def test_parse_of_generated_file_matches_reference_parser(name):
 
 def test_parse_of_distinct_times_matches_reference_parser():
     # 40000 time cells that are all different, as in a file written by
-    # another tool: no cell is shared, and more cells than hash slots
+    # another tool: no cell is shared, and more cells than hash slots;
+    # once in rows of mixed widths, once in rows of one width
     rng = np.random.default_rng(3)
-    rows = [f"{a!r},{b:.17e},{'PA'[c]},{'AP'[c]}" for a, b, c in
-            zip(rng.uniform(0, 1e-9, 20000).tolist(),
-                rng.uniform(0, 1e-9, 20000).tolist(),
-                rng.integers(0, 2, 20000).tolist())]
-    text = "\n".join([HEADER, *rows])
-    assert parse_outcome(m.events_from_csv, text) == \
-        parse_outcome(reference_events_from_csv, text)
+    for left in ("{!r}", "{:.17e}"):
+        rows = [f"{left.format(a)},{b:.17e},{'PA'[c]},{'AP'[c]}"
+                for a, b, c in zip(rng.uniform(0, 1e-9, 20000).tolist(),
+                                   rng.uniform(0, 1e-9, 20000).tolist(),
+                                   rng.integers(0, 2, 20000).tolist())]
+        text = "\n".join([HEADER, *rows])
+        assert parse_outcome(m.events_from_csv, text) == \
+            parse_outcome(reference_events_from_csv, text)
 
 
 def test_first_bad_time_of_the_left_column_is_named():
@@ -304,3 +309,84 @@ def test_first_bad_time_of_the_left_column_is_named():
         m.events_from_csv(text)
     assert parse_outcome(m.events_from_csv, text) == \
         parse_outcome(reference_events_from_csv, text)
+
+
+# times whose %.12e and %.17e cells have one width: 0 and [1e-99, 1e99);
+# a few fixed ones make cells that repeat
+UNIFORM_TIMES = st.one_of(st.sampled_from([0.0, 1e-10, 2.5e-10]),
+                          st.floats(1e-99, 1e99))
+
+
+@st.composite
+def uniform_files(draw):
+    """A file whose rows have one width, with at most one fault."""
+    fmt, other = draw(st.permutations(["{:.12e}", "{:.17e}"]))
+    rows = [[fmt.format(draw(UNIFORM_TIMES)), fmt.format(draw(UNIFORM_TIMES)),
+             draw(st.sampled_from("PA")), draw(st.sampled_from("PA"))]
+            for _ in range(draw(st.integers(1, 8)))]
+    i = draw(st.integers(0, len(rows) - 1))
+    mutation = draw(st.sampled_from([None, "time", "separator", "code",
+                                     "blank", "end", "width"]))
+    if mutation == "code":
+        side = draw(st.integers(2, 3))
+        rows[i][side] = draw(st.sampled_from(["X", rows[i][side] * 2]))
+    elif mutation == "width":
+        rows[i][:2] = [other.format(float(cell)) for cell in rows[i][:2]]
+    lines = [HEADER + "\n", *(",".join(row) + "\n" for row in rows)]
+    if mutation in ("time", "separator"):  # one byte of row i
+        w = len(rows[i][0])
+        if mutation == "time":
+            # float() accepts whitespace at either end of a cell
+            at = draw(st.integers(0, 1)) * (w + 1) + draw(st.one_of(
+                st.sampled_from([0, w - 1]), st.integers(0, w - 1)))
+        else:  # its three commas and its newline
+            at = draw(st.sampled_from([w, 2 * w + 1, 2 * w + 3, 2 * w + 5]))
+        byte = draw(st.sampled_from([",", "\n", " ", "x"]))
+        lines[i + 1] = lines[i + 1][:at] + byte + lines[i + 1][at + 1:]
+    elif mutation == "blank":
+        lines.insert(draw(st.integers(1, len(lines))), "\n")
+    text = "".join(lines)
+    return text[:-1] if mutation == "end" else text
+
+
+@settings(max_examples=400, deadline=None, derandomize=True)
+@given(uniform_files())
+# a newline that ends a time cell, where float() would accept it
+@example(f"{HEADER}\n1.000000000000e-10,2.000000000000e-1\n,P,A\n")
+# two bad cells: the left column's first is named, though its value
+# also appears, later, in the right column
+@example(f"{HEADER}\nx.000000000000e-10,0.000000000000e+00,P,P\n"
+         f"y.000000000000e-10,x.000000000000e-10,P,P\n")
+def test_parse_of_uniform_rows_matches_reference_parser(text):
+    assert parse_outcome(m.events_from_csv, text) == \
+        parse_outcome(reference_events_from_csv, text)
+
+
+@pytest.mark.parametrize("name", sorted(GOLDEN_SHA256))
+def test_written_files_take_the_uniform_path(name, monkeypatch):
+    events = m.generate_events(REG.get_species(name), 0.27, 20000, 987654321)
+    text = m.events_to_csv(events)
+
+    def general_path(*args):
+        raise AssertionError("the general row finder ran")
+
+    monkeypatch.setattr(inference, "_row_bounds", general_path)
+    assert parse_outcome(m.events_from_csv, text) == \
+        parse_outcome(reference_events_from_csv, text)
+
+
+def test_a_blank_line_takes_the_general_path(monkeypatch):
+    calls = []
+    row_bounds = inference._row_bounds
+
+    def counted(*args):
+        calls.append(args)
+        return row_bounds(*args)
+
+    monkeypatch.setattr(inference, "_row_bounds", counted)
+    text = m.events_to_csv(m.generate_events(K0, 0.27, 300, 5))
+    cut = text.index("\n", 1000)
+    text = text[:cut] + "\n" + text[cut:]
+    assert parse_outcome(m.events_from_csv, text) == \
+        parse_outcome(reference_events_from_csv, text)
+    assert len(calls) == 1
