@@ -56,7 +56,6 @@ class MesonSpecies:
     label_heavy: str = ""
 
     def __post_init__(self):
-        # written so that NaN fails each check
         if not (math.isfinite(self.m_light) and self.m_light > 0):
             raise ConfigError(f"{self.name}: mass must be finite and > 0")
         if not (math.isfinite(self.delta_m) and self.delta_m >= 0):

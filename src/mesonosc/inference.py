@@ -342,26 +342,31 @@ def _row_bounds(buf: np.ndarray, offset: int) -> np.ndarray:
     return bounds
 
 
-def _first_equal_key(words: list[np.ndarray], same: np.ndarray) -> np.ndarray:
+def _first_equal_key(words: list[np.ndarray],
+                     keyable: np.ndarray | None = None) -> np.ndarray:
     """For each key, the index of a key with the same words that maps to
-    itself; a key whose entry in same is False maps to itself.
+    itself.
 
     A key is one entry of each array in words (uint64, at most three).
     Keys that share a hash slot are compared word by word, so a collision
-    leaves a key mapping to itself, never to a different key.  same is
-    updated in place.
+    leaves a key mapping to itself, never to a different key.  A key whose
+    entry in keyable is False maps to itself, and no other key maps to it;
+    None means every key is keyable.
     """
     mixed = words[0] * _KEY_MIX[0]
     for word, mix in zip(words[1:], _KEY_MIX[1:]):
         mixed ^= word * mix
     mixed >>= np.uint64(64 - _SLOT_BITS)
     slot = mixed.view(np.int64)
-    index = np.arange(same.size)
+    index = np.arange(slot.size)
     table = np.empty(1 << _SLOT_BITS, np.intp)
     table[slot] = index
     other = table[slot]
-    for word in words:
+    same = words[0] == words[0][other]
+    for word in words[1:]:
         same &= word == word[other]
+    if keyable is not None:
+        same &= keyable & keyable[other]
     return np.where(same, other, index)
 
 
@@ -453,7 +458,7 @@ def _uniform_columns(raw: bytes, offset: int) -> tuple | None:
                           (w + 1, width))
         pad = (1 << 8 * max(0, 8 * (k + 1) - w)) - 1
         words.append((view | np.uint64(pad)).ravel())
-    source = _first_equal_key(words, np.ones(2 * n, bool))
+    source = _first_equal_key(words)
     del words
     parsed = source == np.arange(2 * n)
     side, row = np.divmod(np.flatnonzero(parsed), n)

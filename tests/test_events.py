@@ -217,6 +217,7 @@ GOOD_TIMES = st.one_of(
         "0", "1e-10", "5e-324", "-0.0", "１２", "1_0", " 1e-10", "1e-10 ",
         "1.000000000000000000e-10", "2.000000000000000000e-10",
         "1.0000000000000000000e-10", "2.0000000000000000000e-10",
+        ".0000000000000000000e-10",
         "1" + "0" * 40, "2" + "0" * 40,
     ]),
 )
@@ -263,6 +264,9 @@ def event_files(draw):
 @example(HEADER)
 # cells that differ only by leading NUL bytes are different cells
 @example(f"{HEADER}\n\x001e-10,2e-10,P,A\n2e-10,1e-10,A,A\n")
+# a cell of exactly 24 bytes is not the last 24 bytes of a longer cell
+@example(f"{HEADER}\n{'0' * 24},1{'0' * 40},P,A\n")
+@example(f"{HEADER}\n.0000000000000000000e-10,1.0000000000000000000e-10,P,A\n")
 def test_parse_matches_reference_parser(text):
     assert parse_outcome(m.events_from_csv, text) == \
         parse_outcome(reference_events_from_csv, text)
