@@ -241,8 +241,9 @@ def cmd_fit(args, reg: Registry) -> str:
     if not result.converged:
         raise PlanError("fit did not converge")
     if _saved_events(args):
+        text = events_to_csv(events)  # formatted before the file exists
         with open(args.save_events, "w", encoding="utf-8", newline="") as fh:
-            fh.write(events_to_csv(events))
+            fh.write(text)
     payload = {
         "ci_high": result.ci_high,
         "ci_low": result.ci_low,
@@ -358,7 +359,7 @@ def main(argv=None) -> int:
     except (ConfigError, KernelError, OSError) as exc:
         print(f"config or file error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
-    except (PlanError, ArithmeticError) as exc:
+    except (PlanError, ArithmeticError, MemoryError) as exc:
         print(f"numeric failure: {exc}", file=sys.stderr)
         return EXIT_NUMERIC
     except ValueError as exc:

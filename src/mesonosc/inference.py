@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from itertools import repeat
 
 import numpy as np
 
@@ -303,15 +304,8 @@ def events_to_csv(events: EventTable) -> str:
 _ASCII_WHITESPACE = "\t\x0b\x0c\r\x1c\x1d\x1e\x1f "
 # A time cell of at most _KEY_BYTES bytes is keyed by those bytes, read as
 # little-endian uint64 words that end where the cell ends; the bytes of a
-# word that lie before the cell are set to 0xFF, a byte UTF-8 never holds,
-# so cells of different lengths have different keys.
+# word that lie before the cell are set to 0xFF.
 _KEY_BYTES = 24
-# the general path reads a cell's key from the window of _KEY_BYTES bytes
-# that ends where the cell ends, or-ed with _KEY_PADS[n], which sets all
-# but the last n bytes of a window
-_KEY_PADS = np.frombuffer(
-    b"".join(b"\xff" * (_KEY_BYTES - n) + bytes(n)
-             for n in range(_KEY_BYTES + 1)), f"V{_KEY_BYTES}")
 # odd multipliers that hash a key's words; the top _SLOT_BITS bits of the
 # hash pick a slot of the table that pairs equal keys
 _KEY_MIX = np.array([0x9E3779B97F4A7C15, 0xC2B2AE3D27D4EB4F,
@@ -319,39 +313,13 @@ _KEY_MIX = np.array([0x9E3779B97F4A7C15, 0xC2B2AE3D27D4EB4F,
 _SLOT_BITS = 16
 
 
-def _row_bounds(buf: np.ndarray, offset: int) -> np.ndarray:
-    """Positions in buf of each non-blank line's start, its three commas
-    and its closing newline, one row per line.
-
-    buf[offset - 1] is the header's newline, and every line ends with a
-    newline.  Raises ValueError unless each non-blank line holds exactly
-    three commas.  The newlines' places among the commas count the commas
-    per line; then the commas, three at a time, are the rows' commas.
-    """
-    body = buf[offset - 1:]
-    newline = np.flatnonzero(body == ord("\n")) + (offset - 1)
-    comma = np.flatnonzero(body == ord(",")) + (offset - 1)
-    # line i runs from newline[i] to newline[i + 1]; blank lines are empty
-    filled = np.diff(newline) > 1
-    if np.any(np.diff(np.searchsorted(comma, newline)) != 3 * filled):
-        raise ValueError("event rows need exactly four columns")
-    bounds = np.empty((comma.size // 3, 5), np.intp)
-    bounds[:, 0] = newline[:-1][filled] + 1
-    bounds[:, 1:4] = comma.reshape(-1, 3)
-    bounds[:, 4] = newline[1:][filled]
-    return bounds
-
-
-def _first_equal_key(words: list[np.ndarray],
-                     keyable: np.ndarray | None = None) -> np.ndarray:
+def _first_equal_key(words: list[np.ndarray]) -> np.ndarray:
     """For each key, the index of a key with the same words that maps to
     itself.
 
     A key is one entry of each array in words (uint64, at most three).
     Keys that share a hash slot are compared word by word, so a collision
-    leaves a key mapping to itself, never to a different key.  A key whose
-    entry in keyable is False maps to itself, and no other key maps to it;
-    None means every key is keyable.
+    leaves a key mapping to itself, never to a different key.
     """
     mixed = words[0] * _KEY_MIX[0]
     for word, mix in zip(words[1:], _KEY_MIX[1:]):
@@ -365,70 +333,13 @@ def _first_equal_key(words: list[np.ndarray],
     same = words[0] == words[0][other]
     for word in words[1:]:
         same &= word == word[other]
-    if keyable is not None:
-        same &= keyable & keyable[other]
     return np.where(same, other, index)
 
 
-def _float_cells(joined: str) -> np.ndarray:
-    """``float()`` of each cell of joined, where every cell ends with a
-    comma, as one array; raises ValueError if a cell does not parse."""
-    cells = joined.split(",")
-    del cells[-1]
-    return np.array(cells, dtype=float)
-
-
-def _parse_cells(buf: np.ndarray, end: np.ndarray,
-                 length: np.ndarray) -> np.ndarray:
-    """``float()`` of each cell ``buf[end - length:end]``, as one array,
-    with equal cells parsed once.
-
-    The cells are the time cells of the rows in file order, each row's
-    left cell before its right one, and a comma follows each.  If a cell
-    does not parse, the first such cell of the left column, or else of
-    the right one, raises float()'s error.  Every key window lies inside
-    buf, because the header line is longer than a key.
-    """
-    count = end.size
-    windows = np.ndarray((buf.size - _KEY_BYTES + 1,), f"V{_KEY_BYTES}",
-                         buf, strides=(1,))
-    words = windows[end - _KEY_BYTES].view(np.uint64).reshape(count, 3)
-    words |= _KEY_PADS[np.minimum(length, _KEY_BYTES)].view(
-        np.uint64).reshape(count, 3)
-    # a cell longer than a key maps to itself
-    source = _first_equal_key(list(words.T), length <= _KEY_BYTES)
-    del words
-    parsed = source == np.arange(count)
-    which = (np.cumsum(parsed) - 1)[source]
-    # keep the bytes of each cell parsed and the comma after it, and split
-    # them as text in one call; runs of bytes dropped and kept alternate
-    last = end[parsed]
-    edges = np.empty(2 * last.size + 2, np.intp)
-    edges[0], edges[-1] = 0, buf.size
-    edges[1:-1:2] = last - length[parsed]
-    edges[2:-1:2] = last + 1
-    kept = np.zeros(edges.size - 1, bool)
-    kept[1::2] = True
-    keep = np.repeat(kept, np.diff(edges))
-    del last, edges, kept  # free each temporary before the next is made
-    joined = buf[keep].tobytes().decode("utf-8", "surrogatepass")
-    del keep
-    try:
-        values = _float_cells(joined)
-    except ValueError:
-        # the first cell that fails, left column before right, raises
-        cells = joined.split(",")
-        for i in which.reshape(-1, 2).T.ravel().tolist():
-            float(cells[i])
-        raise
-    return values[which]
-
-
-def _uniform_columns(raw: bytes, offset: int) -> tuple | None:
-    """The event columns of raw, an ASCII file without whitespace other
-    than newlines, whose header ends at raw[offset - 1] and whose last
-    line ends with a newline; None unless every row has one layout and
-    parses.
+def _uniform_columns(text: str, offset: int) -> tuple | None:
+    """The event columns of text, an ASCII file whose lines hold no
+    whitespace at either end and whose header ends at text[offset - 1];
+    None unless every row has one layout and parses.
 
     That layout is two time cells of one width w, 1 <= w <= _KEY_BYTES,
     and two one-byte flavor codes P or A: w + 1 + w + 4 bytes and a
@@ -437,6 +348,9 @@ def _uniform_columns(raw: bytes, offset: int) -> tuple | None:
     keyed by strided words.  Equal keys are equal cells, so checking that
     the distinct cells hold no comma or newline checks them all.
     """
+    raw = text.encode("ascii")
+    if not raw.endswith(b"\n"):
+        raw += b"\n"  # every row, the last too, ends with a newline
     w = raw.find(b",", offset) - offset
     width = 2 * w + 6
     n, rest = divmod(len(raw) - offset, width)
@@ -468,8 +382,10 @@ def _uniform_columns(raw: bytes, offset: int) -> tuple | None:
     joined = cells[side, row].tobytes()
     if joined.count(b",") != side.size or b"\n" in joined:
         return None
+    strings = joined.decode("ascii").split(",")
+    del strings[-1]  # every cell ends with a comma
     try:
-        values = _float_cells(joined.decode("ascii"))
+        values = np.array(strings, dtype=float)
     except ValueError:
         return None
     times = values[(np.cumsum(parsed) - 1)[source]]
@@ -486,48 +402,38 @@ def events_from_csv(text: str) -> EventTable:
     it, and times parse as ``float()`` does, correctly rounded; the first
     time that does not parse, left column before right, is named.
 
-    The file is read as bytes, and its rows are found one of two ways.
-    When the file is ASCII with no whitespace but newlines and every row
-    has the first row's width, both time cells one width of at most 24
-    bytes and one-byte flavor codes (as every file events_to_csv writes
-    does), rows, commas and codes lie at fixed strides and are checked
-    and read as columns.  Any other file, and any file that does not
-    parse, takes the general path: one pass finds the commas and newlines
-    and checks every row, and it alone raises.  Either way the distinct
-    time cells are gathered and converted in one call, each once.
+    Rows are read by stride when they all have the first row's width,
+    with two time cells of one width (at most 24 bytes) and one-byte
+    flavor codes, as in every file events_to_csv writes: first from the
+    text as it stands, if it is ASCII with no whitespace but newlines,
+    then from its stripped non-blank lines, if they are ASCII.  A file
+    that neither try reads, or that does not parse, is parsed line by
+    line; only that parse raises on a malformed row, code or time cell.
     """
     cut = text.find("\n")
     header = text[:cut] if cut >= 0 else text
     if header.strip() != _HEADER:
         raise ValueError("bad event file header")
     if text.isascii() and not any(c in text for c in _ASCII_WHITESPACE):
-        if not text.endswith("\n"):
-            text += "\n"  # every line, the last too, ends with a newline
-        raw = text.encode("ascii")
-        offset = len(header) + 1
-        columns = _uniform_columns(raw, offset)
+        columns = _uniform_columns(text, len(header) + 1)
         if columns is not None:
             return EventTable(*columns)
-    else:
-        # str.strip also removes Unicode whitespace; strip lines as text
-        body = text[len(header) + 1:]
-        body = "\n".join(map(str.strip, body.split("\n")))
-        raw = f"{_HEADER}\n{body}\n".encode("utf-8", "surrogatepass")
-        offset = len(_HEADER) + 1
-    buf = np.frombuffer(raw, np.uint8)
-    bounds = _row_bounds(buf, offset)
-    code_at = bounds[:, 2:4] + 1
-    code_end = bounds[:, 3:]
-    code = buf[code_at]
-    good = ((code_end - code_at == 1)
-            & ((code == ord("P")) | (code == ord("A"))))
-    if not good.all():
-        bad = {raw[s:e].decode("utf-8", "surrogatepass") for s, e in
-               zip(code_at[~good].tolist(), code_end[~good].tolist())}
-        raise ValueError(f"bad flavor code {min(bad)!r}")
-    # the two time cells of each row, in file order
-    end = bounds[:, 1:3].ravel()
-    length = end - (bounds[:, :2] + (0, 1)).ravel()
-    times = _parse_cells(buf, end, length)
-    anti = code == ord("A")
-    return EventTable(times[0::2], times[1::2], anti[:, 0], anti[:, 1])
+    lines = text[len(header) + 1:].split("\n")
+    rows = [line for line in map(str.strip, lines) if line]
+    stripped = "\n".join([_HEADER, *rows, ""])
+    if stripped.isascii():
+        columns = _uniform_columns(stripped, len(_HEADER) + 1)
+        if columns is not None:
+            return EventTable(*columns)
+    if set(map(str.count, rows, repeat(","))) - {3}:
+        raise ValueError("event rows need exactly four columns")
+    cells = ",".join(rows).split(",") if rows else []
+    codes = {*cells[2::4], *cells[3::4]}
+    if not codes <= {"P", "A"}:
+        raise ValueError(f"bad flavor code {min(codes - {'P', 'A'})!r}")
+    return EventTable(
+        np.array(cells[0::4], dtype=float),
+        np.array(cells[1::4], dtype=float),
+        [code == "A" for code in cells[2::4]],
+        [code == "A" for code in cells[3::4]],
+    )

@@ -17,7 +17,6 @@ limit is D(t) = t/2 exactly.
 
 from __future__ import annotations
 
-import io
 import math
 from dataclasses import dataclass
 
@@ -176,23 +175,6 @@ class TabulatedKernel(NoiseKernel):
 
     def __repr__(self):
         return f"TabulatedKernel(n={self.s.size})"
-
-
-def tabulated_from_csv(text: str) -> TabulatedKernel:
-    """Load a tabulated kernel from two-column CSV (s_seconds, f_per_second).
-
-    A header line is required.
-    """
-    lines = [ln for ln in io.StringIO(text).read().splitlines() if ln.strip()]
-    if len(lines) < 3:
-        raise KernelError("CSV must have a header and at least two samples")
-    try:
-        data = np.loadtxt(io.StringIO("\n".join(lines[1:])), delimiter=",")
-    except ValueError as exc:
-        raise KernelError(f"bad CSV data: {exc}") from exc
-    if data.ndim != 2 or data.shape[1] != 2:
-        raise KernelError("CSV must have exactly two columns")
-    return TabulatedKernel(data[:, 0], data[:, 1])
 
 
 def spatial_zero(r_c: float) -> float:

@@ -36,7 +36,7 @@ from __future__ import annotations
 import math
 import os
 import threading
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -194,25 +194,3 @@ def simulate_damping(gamma_j: float, gamma_k: float, f0: float, t: float,
     mean = float(np.mean(cos_vals))
     std_err = float(np.std(cos_vals, ddof=1) / math.sqrt(n))
     return OracleResult(mean, std_err, prediction)
-
-
-def convergence_sweep(base_plan: SimulationPlan, t: float, gamma_j: float,
-                      gamma_k: float, f0: float, n_halvings: int = 3) -> list[dict]:
-    """Run simulate_damping at a halving sequence of dt (total time fixed)
-    and tabulate |sample mean - analytic prediction| against dt."""
-    if n_halvings < 3:
-        raise PlanError("need at least 3 dt values in the sweep")
-    rows = []
-    for level in range(n_halvings):
-        plan = replace(base_plan, n_steps=base_plan.n_steps * 2**level,
-                       dt=base_plan.dt / 2**level)
-        res = simulate_damping(gamma_j, gamma_k, f0, t, plan)
-        rows.append({
-            "dt": plan.dt,
-            "n_steps": plan.n_steps,
-            "mean_interference": res.mean_interference,
-            "std_error": res.std_error,
-            "abs_error": abs(res.mean_interference - res.analytic_prediction),
-            "analytic_prediction": res.analytic_prediction,
-        })
-    return rows

@@ -507,6 +507,40 @@ def test_fit_that_does_not_converge_is_numeric_failure(tmp_path, monkeypatch):
     assert list(tmp_path.iterdir()) == []
 
 
+@pytest.mark.parametrize("target", ["generate_events", "simulate_damping"])
+def test_memory_error_is_numeric_failure(tmp_path, monkeypatch, target):
+    def unable_to_allocate(*args):
+        raise MemoryError("Unable to allocate 218. TiB")
+
+    monkeypatch.setattr(cli, target, unable_to_allocate)
+    argv = MC_SMALL if target == "simulate_damping" else \
+        FIT_SMALL + ["--save-events", str(tmp_path / "events.csv")]
+    assert cli.main(["--out", str(tmp_path / "out")] + argv) == 4
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_fit_too_large_to_allocate_is_numeric_failure(tmp_path):
+    # 10^13 events need 218 TiB; the child's address space is capped at
+    # 3 GiB, since an uncapped oversized array can be granted lazily and
+    # then exhaust the machine's memory
+    import resource
+
+    def cap_address_space():
+        resource.setrlimit(resource.RLIMIT_AS, (3 << 30, 3 << 30))
+
+    argv = ["--out", str(tmp_path / "fit.json"), "fit", "--zeta-true", "0.1",
+            "--n-events", "10000000000000",
+            "--save-events", str(tmp_path / "events.csv")]
+    src = str(Path(cli.__file__).resolve().parents[1])
+    proc = subprocess.run([sys.executable, "-m", "mesonosc.cli", *argv],
+                          preexec_fn=cap_address_space, capture_output=True,
+                          text=True, timeout=120,
+                          env={**os.environ, "PYTHONPATH": src})
+    assert proc.returncode == 4, proc.stderr
+    assert proc.stderr.startswith("numeric failure: ")
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_fit_never_imports_scipy_optimize(tmp_path):
     # the solver is a few lines of Newton steps; scipy.optimize would add
     # about 0.24 s and 24 MB to every fit process

@@ -323,14 +323,16 @@ UNIFORM_TIMES = st.one_of(st.sampled_from([0.0, 1e-10, 2.5e-10]),
 
 @st.composite
 def uniform_files(draw):
-    """A file whose rows have one width, with at most one fault."""
+    """A file whose rows have one width, with at most one fault or one
+    change of line ends or whitespace that stripping undoes."""
     fmt, other = draw(st.permutations(["{:.12e}", "{:.17e}"]))
     rows = [[fmt.format(draw(UNIFORM_TIMES)), fmt.format(draw(UNIFORM_TIMES)),
              draw(st.sampled_from("PA")), draw(st.sampled_from("PA"))]
             for _ in range(draw(st.integers(1, 8)))]
     i = draw(st.integers(0, len(rows) - 1))
     mutation = draw(st.sampled_from([None, "time", "separator", "code",
-                                     "blank", "end", "width"]))
+                                     "blank", "end", "width", "crlf",
+                                     "pad"]))
     if mutation == "code":
         side = draw(st.integers(2, 3))
         rows[i][side] = draw(st.sampled_from(["X", rows[i][side] * 2]))
@@ -349,6 +351,14 @@ def uniform_files(draw):
         lines[i + 1] = lines[i + 1][:at] + byte + lines[i + 1][at + 1:]
     elif mutation == "blank":
         lines.insert(draw(st.integers(1, len(lines))), "\n")
+    elif mutation == "crlf":
+        lines = [line[:-1] + "\r\n" for line in lines]
+    elif mutation == "pad":  # whitespace around one or more lines
+        for j in draw(st.sets(st.integers(0, len(lines) - 1), min_size=1)):
+            pad = draw(st.text(st.sampled_from(inference._ASCII_WHITESPACE),
+                               min_size=1, max_size=3))
+            cut = draw(st.integers(0, len(pad)))
+            lines[j] = pad[:cut] + lines[j][:-1] + pad[cut:] + "\n"
     text = "".join(lines)
     return text[:-1] if mutation == "end" else text
 
@@ -366,31 +376,49 @@ def test_parse_of_uniform_rows_matches_reference_parser(text):
         parse_outcome(reference_events_from_csv, text)
 
 
+def record_uniform_columns(monkeypatch):
+    """What each call of the strided row reader returns, in call order."""
+    results = []
+    uniform_columns = inference._uniform_columns
+
+    def recorded(*args):
+        results.append(uniform_columns(*args))
+        return results[-1]
+
+    monkeypatch.setattr(inference, "_uniform_columns", recorded)
+    return results
+
+
 @pytest.mark.parametrize("name", sorted(GOLDEN_SHA256))
 def test_written_files_take_the_uniform_path(name, monkeypatch):
     events = m.generate_events(REG.get_species(name), 0.27, 20000, 987654321)
     text = m.events_to_csv(events)
-
-    def general_path(*args):
-        raise AssertionError("the general row finder ran")
-
-    monkeypatch.setattr(inference, "_row_bounds", general_path)
+    results = record_uniform_columns(monkeypatch)
     assert parse_outcome(m.events_from_csv, text) == \
         parse_outcome(reference_events_from_csv, text)
+    assert len(results) == 1 and results[0] is not None
 
 
-def test_a_blank_line_takes_the_general_path(monkeypatch):
-    calls = []
-    row_bounds = inference._row_bounds
-
-    def counted(*args):
-        calls.append(args)
-        return row_bounds(*args)
-
-    monkeypatch.setattr(inference, "_row_bounds", counted)
+@pytest.mark.parametrize("edit", ["blank", "crlf"])
+def test_stripped_rows_take_the_uniform_path(edit, monkeypatch):
     text = m.events_to_csv(m.generate_events(K0, 0.27, 300, 5))
-    cut = text.index("\n", 1000)
-    text = text[:cut] + "\n" + text[cut:]
+    if edit == "blank":
+        cut = text.index("\n", 1000)
+        text = text[:cut] + "\n" + text[cut:]
+    else:
+        text = text.replace("\n", "\r\n")
+    results = record_uniform_columns(monkeypatch)
     assert parse_outcome(m.events_from_csv, text) == \
         parse_outcome(reference_events_from_csv, text)
-    assert len(calls) == 1
+    # a CRLF file fails the first try's gate, so only the retry runs
+    assert [r is None for r in results] == \
+        ([True, False] if edit == "blank" else [False])
+
+
+def test_mixed_widths_take_the_line_parser(monkeypatch):
+    text = m.events_to_csv(m.generate_events(K0, 0.27, 300, 5))
+    text += "1e-10,2e-10,P,A\n"
+    results = record_uniform_columns(monkeypatch)
+    assert parse_outcome(m.events_from_csv, text) == \
+        parse_outcome(reference_events_from_csv, text)
+    assert results == [None, None]

@@ -13,7 +13,6 @@ from mesonosc.kernels import (
     TabulatedKernel,
     WhiteKernel,
     spatial_zero,
-    tabulated_from_csv,
 )
 
 
@@ -182,16 +181,6 @@ def test_tabulated_validation():
     for s, f in (([0.0, math.nan], [1.0, 1.0]), ([0.0, 1.0], [math.inf, 1.0])):
         with pytest.raises(KernelError, match="finite"):
             TabulatedKernel(s, f)
-
-
-def test_tabulated_from_csv():
-    text = "s_seconds,f_per_second\n0.0,1.0\n1.0,0.5\n2.0,0.0\n"
-    k = tabulated_from_csv(text)
-    assert k.correlation(1.0) == 0.5
-    with pytest.raises(KernelError):
-        tabulated_from_csv("s,f\n0.0,1.0\n")
-    with pytest.raises(KernelError):
-        tabulated_from_csv("s,f\n0.0,1.0,9.0\n1.0,0.5,9.0\n")
 
 
 def test_negative_time_raises():

@@ -300,20 +300,3 @@ def test_invalid_couplings_raise():
     with pytest.raises(m.PlanError):
         m.simulate_damping(1.0, 1.0, 0.0, 1.0, white_plan())
 
-
-def test_convergence_sweep_structure():
-    tau = 0.05
-    base = m.SimulationPlan(
-        n_trajectories=2000, n_steps=250, dt=1.0 / 250, seed=3,
-        kernel=m.ExponentialKernel(tau=tau),
-    )
-    rows = m.convergence_sweep(base, 1.0, 4.0, 1.0, 1.0, n_halvings=3)
-    assert len(rows) == 3
-    dts = [r["dt"] for r in rows]
-    assert dts[0] > dts[1] > dts[2]
-    for r in rows:
-        assert abs(r["mean_interference"] - r["analytic_prediction"]) == r["abs_error"]
-        # fixed total time at every level
-        assert r["dt"] * r["n_steps"] == pytest.approx(1.0, rel=1e-12)
-    with pytest.raises(m.PlanError):
-        m.convergence_sweep(base, 1.0, 4.0, 1.0, 1.0, n_halvings=2)
