@@ -3,7 +3,8 @@
 Every command emits plot-ready CSV or JSON data plus a run manifest (JSON,
 stable key order) describing the command, parameters, config hash, seed and
 wall-clock duration.  Outputs are deterministic given (config, flags, seed);
-rerunning reproduces byte-identical data files.
+rerunning reproduces byte-identical data files.  Each ``cmd_*`` returns its
+outputs and writes nothing; ``_write_run`` writes every file of a run.
 
 Exit codes: 0 success, 2 usage, 3 config or file error, 4 numeric failure.
 """
@@ -11,6 +12,7 @@ Exit codes: 0 success, 2 usage, 3 config or file error, 4 numeric failure.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import functools
 import gc
 import hashlib
@@ -31,7 +33,6 @@ from .entangle import (
     joint_probability,
 )
 from .inference import (
-    default_time_grid,
     events_from_csv,
     events_to_csv,
     fit_zeta,
@@ -39,7 +40,7 @@ from .inference import (
     lambda_ratio,
 )
 from .kernels import ExponentialKernel, GaussianKernel, KernelError, WhiteKernel
-from .oracle import OracleResult, PlanError, SimulationPlan, simulate_damping
+from .oracle import PlanError, SimulationPlan, simulate_damping
 from .oscillation import (
     CslDamping,
     FlavorState,
@@ -87,44 +88,43 @@ def _kernel_from_arg(spec: str):
 
 
 def _damping_from_args(args, reg: Registry):
-    model = getattr(args, "model", "none")
-    if model == "none":
-        return NoDamping()
-    if model == "csl":
+    if args.model == "csl":
         return CslDamping(
             params=reg.get_csl(args.csl_preset),
             kernel=_kernel_from_arg(args.kernel),
             relativistic=args.relativistic,
         )
-    if model == "lindblad":
+    if args.model == "lindblad":
         return LindbladDamping(lambda_single=args.lambda_single)
-    raise ConfigError(f"unknown model '{model}'")
+    return NoDamping()
 
 
-def _saved_events(args) -> str | None:
-    """--save-events of a fit that generates its events, else None."""
-    return None if vars(args).get("events") else vars(args).get("save_events")
+def _json(payload: dict) -> str:
+    return json.dumps(payload, indent=2, sort_keys=True) + "\n"
 
 
-def _write_output(args, text: str, manifest: dict):
+def _write_run(args, files, text: str, manifest: str) -> None:
+    """The one writer of a run: the command's (path, text) files, then the
+    data and manifest to --out and --out.manifest.json, else to stdout and
+    stderr.  A failed write removes every file opened so far, then raises."""
     if args.out:
-        # files this run has written; none stays when an output fails
-        written = [path for path in (_saved_events(args),) if path]
-        try:
-            with open(args.out, "w", encoding="utf-8", newline="") as fh:
-                written.append(args.out)
-                fh.write(text)
-            with open(args.out + ".manifest.json", "w", encoding="utf-8") as fh:
-                # one write; json.dump would write every token separately
-                fh.write(json.dumps(manifest, indent=2, sort_keys=True) + "\n")
-        except OSError:
-            for path in written:
-                os.remove(path)
-            raise
-    else:
-        sys.stdout.write(text)
-        json.dump(manifest, sys.stderr, indent=2, sort_keys=True)
-        sys.stderr.write("\n")
+        files = [*files, (args.out, text),
+                 (args.out + ".manifest.json", manifest)]
+    opened = []
+    try:
+        for path, body in files:
+            with open(path, "w", encoding="utf-8", newline="") as fh:
+                opened.append(path)
+                fh.write(body)
+        if not args.out:
+            # flushed here, so a failed write is caught while files exist
+            for stream, body in ((sys.stdout, text), (sys.stderr, manifest)):
+                stream.write(body)
+                stream.flush()
+    except BaseException:
+        for path in opened:
+            os.remove(path)
+        raise
 
 
 def _manifest(args, config_text: str, started: float) -> dict:
@@ -137,7 +137,7 @@ def _manifest(args, config_text: str, started: float) -> dict:
         "config_sha256": hashlib.sha256(config_text.encode()).hexdigest(),
         "duration_s": time.monotonic() - started,
         "parameters": params,
-        "seed": getattr(args, "seed", None),
+        "seed": args.seed,
         "version": __version__,
     }
 
@@ -166,16 +166,16 @@ def _grid(spec: str) -> np.ndarray:
     return np.linspace(start, stop, n)
 
 
-def cmd_rates(args, reg: Registry) -> str:
+def cmd_rates(args, reg: Registry) -> tuple[str, tuple]:
     params = reg.get_csl(args.csl_preset)
     rows = []
     for name, sp in reg.species.items():
         lam = csl_damping_rate(params, sp)
         rows.append((name, lam, lambda_ratio(lam, sp)))
-    return _csv(["species", "lambda_csl_per_s", "lambda_over_width"], rows)
+    return _csv(["species", "lambda_csl_per_s", "lambda_over_width"], rows), ()
 
 
-def cmd_single(args, reg: Registry) -> str:
+def cmd_single(args, reg: Registry) -> tuple[str, tuple]:
     sp = reg.get_species(args.species)
     spec = _damping_from_args(args, reg)
     grid = _grid(args.t_grid)
@@ -190,10 +190,10 @@ def cmd_single(args, reg: Registry) -> str:
          "sum_check"],
         zip(grid.tolist(), p_surv, p_flip, p_surv, p_flip,
             [s + f for s, f in zip(p_surv, p_flip)]),
-    )
+    ), ()
 
 
-def cmd_joint(args, reg: Registry) -> str:
+def cmd_joint(args, reg: Registry) -> tuple[str, tuple]:
     sp = reg.get_species(args.species)
     spec = _damping_from_args(args, reg)
     state = antisymmetric_state()
@@ -203,10 +203,10 @@ def cmd_joint(args, reg: Registry) -> str:
     prob = joint_probability(state, proj, q)
     return _csv(["t_left_s", "t_right_s", "probability"],
                 zip(np.repeat(t_l, t_r.size).tolist(),
-                    np.tile(t_r, t_l.size).tolist(), prob.ravel().tolist()))
+                    np.tile(t_r, t_l.size).tolist(), prob.ravel().tolist())), ()
 
 
-def cmd_mc(args, reg: Registry) -> str:
+def cmd_mc(args, reg: Registry) -> tuple[str, tuple]:
     plan = SimulationPlan(
         n_trajectories=args.n_trajectories,
         n_steps=args.n_steps,
@@ -214,18 +214,11 @@ def cmd_mc(args, reg: Registry) -> str:
         seed=args.seed,
         kernel=_kernel_from_arg(args.kernel),
     )
-    res: OracleResult = simulate_damping(
-        args.gamma_j, args.gamma_k, args.f0, args.t, plan
-    )
-    payload = {
-        "analytic_prediction": res.analytic_prediction,
-        "mean_interference": res.mean_interference,
-        "std_error": res.std_error,
-    }
-    return json.dumps(payload, indent=2, sort_keys=True) + "\n"
+    res = simulate_damping(args.gamma_j, args.gamma_k, args.f0, args.t, plan)
+    return _json(dataclasses.asdict(res)), ()
 
 
-def cmd_fit(args, reg: Registry) -> str:
+def cmd_fit(args, reg: Registry) -> tuple[str, tuple]:
     sp = reg.get_species(args.species)
     if args.events:
         with open(args.events, "r", encoding="utf-8") as fh:
@@ -233,44 +226,31 @@ def cmd_fit(args, reg: Registry) -> str:
     else:
         if args.zeta_true is None:
             raise ConfigError("provide --events or --zeta-true/--n-events")
-        events = generate_events(
-            sp, args.zeta_true, args.n_events, args.seed,
-            default_time_grid(sp),
-        )
+        events = generate_events(sp, args.zeta_true, args.n_events, args.seed)
     result = fit_zeta(events, sp)
     if not result.converged:
         raise PlanError("fit did not converge")
-    if _saved_events(args):
-        text = events_to_csv(events)  # formatted before the file exists
-        with open(args.save_events, "w", encoding="utf-8", newline="") as fh:
-            fh.write(text)
-    payload = {
-        "ci_high": result.ci_high,
-        "ci_low": result.ci_low,
-        "converged": result.converged,
-        "log_likelihood": result.log_likelihood,
-        "n_events": result.n_events,
-        "zeta_hat": result.zeta_hat,
-    }
-    return json.dumps(payload, indent=2, sort_keys=True) + "\n"
+    saved = ()  # --save-events applies to generated events only
+    if args.save_events and not args.events:
+        saved = ((args.save_events, events_to_csv(events)),)
+    return _json(dataclasses.asdict(result)), saved
 
 
-def cmd_overlap(args, reg: Registry) -> str:
+def cmd_overlap(args, reg: Registry) -> tuple[str, tuple]:
     left = GaussianPacket(0.0, args.sigma, -args.speed)
     right = GaussianPacket(0.0, args.sigma, args.speed)
     rows = [(t, separation(t, left, right),
              suppression_ratio(t, left, right, args.r_c))
             for t in _grid(args.t_grid)]
-    return _csv(["t_s", "separation_cm", "suppression_ratio"], rows)
+    return _csv(["t_s", "separation_cm", "suppression_ratio"], rows), ()
 
 
-def cmd_diag(args, reg: Registry) -> str:
+def cmd_diag(args, reg: Registry) -> tuple[str, tuple]:
     sp = reg.get_species(args.species)
-    payload = {
+    return _json({
         "momentum_spread": momentum_spread_diagnostic(args.r_c),
         "phase_magnitude": phase_magnitude_diagnostic(sp, args.t),
-    }
-    return json.dumps(payload, indent=2, sort_keys=True) + "\n"
+    }), ()
 
 
 def _add_model_flags(p):
@@ -354,8 +334,9 @@ def main(argv=None) -> int:
     started = time.monotonic()
     try:
         reg, config_text = _load_registry(args)
-        text = args.func(args, reg)
-        _write_output(args, text, _manifest(args, config_text, started))
+        text, files = args.func(args, reg)
+        _write_run(args, files, text,
+                   _json(_manifest(args, config_text, started)))
     except (ConfigError, KernelError, OSError) as exc:
         print(f"config or file error: {exc}", file=sys.stderr)
         return EXIT_CONFIG

@@ -26,6 +26,8 @@ _CHI2_90 = 2.706
 _XTOL = 1e-10
 _MAX_STEPS = 100
 
+_TIME_GRID_POINTS = 400  # candidate decay times of the event generator
+
 _HEADER = "t_left_s,t_right_s,flavor_left,flavor_right"
 _COLUMNS = ("t_left", "t_right", "anti_left", "anti_right")
 
@@ -82,27 +84,24 @@ class FitResult:
             raise ValueError("confidence interval does not bracket the estimate")
 
 
-def default_time_grid(species: MesonSpecies, n: int = 400) -> np.ndarray:
-    """Grid of candidate decay times spanning several light-state lifetimes."""
+def default_time_grid(species: MesonSpecies) -> np.ndarray:
+    """The event generator's candidate decay times: 400 equally spaced
+    times from 0 to twelve light-state lifetimes."""
     tau = CONSTANTS.hbar_mev_s / species.gamma_light
-    return np.linspace(0.0, 12.0 * tau, n)
+    return np.linspace(0.0, 12.0 * tau, _TIME_GRID_POINTS)
 
 
 def generate_events(
-    species: MesonSpecies,
-    zeta_true: float,
-    n: int,
-    seed: int,
-    time_grid: np.ndarray | None = None,
+    species: MesonSpecies, zeta_true: float, n: int, seed: int
 ) -> EventTable:
     """Draw n synthetic events, deterministic for a fixed seed.
 
-    Times are inverse-CDF sampled on the grid from the survival envelope
-    (exp(-G_l t/hbar) + exp(-G_h t/hbar))/2; the flavor pair is then drawn
-    from the conditional four-outcome distribution of the zeta model.
-    Randomness comes from one counter-based Philox stream; row i of the
-    uniform block belongs to event i.  The seed is one 64-bit word of the
-    Philox key, as in the oracle: a seed outside [0, 2**64) raises
+    Times are inverse-CDF sampled on `default_time_grid` from the survival
+    envelope (exp(-G_l t/hbar) + exp(-G_h t/hbar))/2; the flavor pair is
+    then drawn from the conditional four-outcome distribution of the zeta
+    model.  Randomness comes from one counter-based Philox stream; row i of
+    the uniform block belongs to event i.  The seed is one 64-bit word of
+    the Philox key, as in the oracle: a seed outside [0, 2**64) raises
     OverflowError.
     """
     if not 0 <= seed < 2**64:
@@ -111,12 +110,7 @@ def generate_events(
         raise ValueError("zeta_true must be in [0, 1]")
     if n < 1:
         raise ValueError("need at least one event")
-    if time_grid is None:
-        time_grid = default_time_grid(species)
-    time_grid = np.asarray(time_grid, dtype=float)
-    if time_grid.size == 0:
-        raise ValueError("empty time grid")
-
+    time_grid = default_time_grid(species)
     g_l, g_h = species.rate_light(), species.rate_heavy()
     weights = 0.5 * (np.exp(-g_l * time_grid) + np.exp(-g_h * time_grid))
     cdf = np.cumsum(weights)

@@ -67,7 +67,12 @@ def energy_difference(species: MesonSpecies, j: Eigenstate, k: Eigenstate,
                       p: float = 0.0) -> float:
     """E_j - E_k [MeV] with nonrelativistic kinetic terms, built from the
     exact mass splitting so the near-degenerate masses never cancel:
-    1/m_heavy - 1/m_light is written as -delta_m / (m_light m_heavy)."""
+    1/m_heavy - 1/m_light is written as -delta_m / (m_light m_heavy).
+
+    Valid for p well below the masses.  Against the exact splitting
+    delta_m (m_light + m_heavy) / (E_light + E_heavy) it reads, for K0,
+    0.999 of it at 110 MeV/c, 0.70 at 500 and 0.018 at 700, and it changes
+    sign at p = sqrt(2 m_light m_heavy) (703.7 MeV/c for K0)."""
     _check_momentum(p)
     if j is k:
         return 0.0

@@ -32,26 +32,16 @@ class GaussianPacket:
             raise ValueError("sigma must be positive")
 
 
-def cross_term_kernel_overlap(
-    d: float, sigma: float, r_c: float, dims: int = 1
-) -> float:
-    """Overlap of two packet densities through the spatial noise correlator.
-
-    For dims = 3 the separation lies along one axis; the transverse factors
-    use d = 0.
-    """
+def cross_term_kernel_overlap(d: float, sigma: float, r_c: float) -> float:
+    """Overlap of two packet densities through the spatial noise correlator,
+    along the axis of their separation d.  The transverse factors equal
+    this at d = 0 and cancel in `suppression_ratio`."""
     if not (sigma > 0 and 0 < r_c < math.inf):
         raise ValueError("sigma must be positive and r_c finite and positive")
     if d < 0:
         raise ValueError("separation must be >= 0")
-    if dims not in (1, 3):
-        raise ValueError("dims must be 1 or 3")
     s2 = r_c * r_c + sigma * sigma
-    axial = r_c / math.sqrt(s2) * math.exp(-d * d / (4.0 * s2))
-    if dims == 1:
-        return axial
-    transverse = r_c / math.sqrt(s2)
-    return axial * transverse * transverse
+    return r_c / math.sqrt(s2) * math.exp(-d * d / (4.0 * s2))
 
 
 def separation(t: float, left: GaussianPacket, right: GaussianPacket) -> float:

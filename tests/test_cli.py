@@ -1,3 +1,4 @@
+import errno
 import json
 import math
 import os
@@ -123,6 +124,8 @@ def test_diag_reports_discrepancies(tmp_path):
 def test_exit_code_config_error():
     assert cli.main(["single", "--species", "T0"]) == 3
     assert cli.main(["rates", "--csl-preset", "nope"]) == 3
+    assert cli.main(["single", "--model", "csl", "--kernel", "foo"]) == 3
+    assert cli.main(["fit"]) == 3  # neither --events nor --zeta-true
 
 
 def test_exit_code_usage_error():
@@ -538,6 +541,46 @@ def test_fit_too_large_to_allocate_is_numeric_failure(tmp_path):
                           env={**os.environ, "PYTHONPATH": src})
     assert proc.returncode == 4, proc.stderr
     assert proc.stderr.startswith("numeric failure: ")
+    assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("out", [["--out", "fit.json"], []],
+                         ids=["out", "stdout"])
+def test_event_file_past_file_size_limit_leaves_no_file(tmp_path, out):
+    # the event file (about 900 kB) is cut off at the child's 100 kB limit;
+    # what was written of it goes, with the rest of the run's files
+    import resource
+    import signal
+
+    def cap_file_size():
+        signal.signal(signal.SIGXFSZ, signal.SIG_IGN)
+        resource.setrlimit(resource.RLIMIT_FSIZE, (100_000, 100_000))
+
+    argv = out + ["fit", "--zeta-true", "0.2", "--n-events", "20000",
+                  "--save-events", "ev.csv"]
+    src = str(Path(cli.__file__).resolve().parents[1])
+    proc = subprocess.run([sys.executable, "-m", "mesonosc.cli", *argv],
+                          cwd=tmp_path, preexec_fn=cap_file_size,
+                          capture_output=True, text=True, timeout=120,
+                          env={**os.environ, "PYTHONPATH": src})
+    assert proc.returncode == 3, proc.stderr
+    assert list(tmp_path.iterdir()) == []
+
+
+class _StdoutPastSizeLimit:
+    """A buffered stdout whose text cannot reach its file."""
+
+    def write(self, text):
+        return len(text)
+
+    def flush(self):
+        raise OSError(errno.EFBIG, "File too large")
+
+
+def test_failed_stdout_leaves_no_event_file(tmp_path, monkeypatch):
+    monkeypatch.setattr(sys, "stdout", _StdoutPastSizeLimit())
+    argv = FIT_SMALL + ["--save-events", str(tmp_path / "ev.csv")]
+    assert cli.main(argv) == 3
     assert list(tmp_path.iterdir()) == []
 
 

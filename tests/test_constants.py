@@ -63,16 +63,24 @@ def test_malformed_json_raises():
 
 
 def test_missing_field_raises():
-    doc = {"species": [{"name": "X", "m_light_mev": 1.0}]}
-    with pytest.raises(m.ConfigError):
-        m.load_config(json.dumps(doc))
+    for doc, message in [
+        ({"species": [{"name": "X", "m_light_mev": 1.0}]}, "tau_light_s"),
+        ({"species": [{"name": "X", "m_light_mev": 1.0, "tau_light_s": 1e-10,
+                       "tau_heavy_s": 1e-8}]}, "delta_m_mev"),
+        ({"csl": [{"name": "p", "gamma_cm3_per_s": 1e-30, "r_c_cm": 1e-5}]},
+         "m0_mev"),
+    ]:
+        with pytest.raises(m.ConfigError, match=message):
+            m.load_config(json.dumps(doc))
 
 
 def test_duplicate_species_raises():
-    doc = json.loads(m.dump_config(m.default_registry()))
-    doc["species"].append(doc["species"][0])
-    with pytest.raises(m.ConfigError):
-        m.load_config(json.dumps(doc))
+    # and a duplicate CSL preset
+    for section in ("species", "csl"):
+        doc = json.loads(m.dump_config(m.default_registry()))
+        doc[section].append(doc[section][0])
+        with pytest.raises(m.ConfigError, match="duplicate"):
+            m.load_config(json.dumps(doc))
 
 
 def test_nonpositive_lifetime_raises():

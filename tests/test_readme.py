@@ -12,6 +12,7 @@ from pathlib import Path
 
 import pytest
 
+import mesonosc
 from mesonosc import cli
 
 README = (Path(__file__).resolve().parents[1] / "README.md").read_text()
@@ -46,3 +47,10 @@ def test_python_examples_run():
 def test_cli_examples_run(tmp_path, monkeypatch, argv):
     monkeypatch.chdir(tmp_path)
     assert cli.main(argv) == 0
+
+
+def test_every_exported_name_is_shown_in_readme_or_used_by_the_cli():
+    cli_source = Path(cli.__file__).read_text()
+    unshown = [name for name in mesonosc.__all__
+               if not re.search(rf"\b{re.escape(name)}\b", README + cli_source)]
+    assert unshown == []

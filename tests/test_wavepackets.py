@@ -33,15 +33,6 @@ def test_point_packet_limit_is_unity():
     assert m.cross_term_kernel_overlap(0.0, 1e-12, 1e-5) == pytest.approx(1.0)
 
 
-def test_three_dimensional_factorization():
-    d, sigma, r_c = 1.0, 0.8, 0.5
-    axial = m.cross_term_kernel_overlap(d, sigma, r_c, dims=1)
-    transverse = m.cross_term_kernel_overlap(0.0, sigma, r_c, dims=1)
-    assert m.cross_term_kernel_overlap(d, sigma, r_c, dims=3) == pytest.approx(
-        axial * transverse**2, rel=1e-14
-    )
-
-
 def test_kaon_like_suppression_is_total():
     c = m.CONSTANTS.c_cm_s
     left = m.GaussianPacket(0.0, 1e-4, -0.2 * c)
@@ -83,8 +74,6 @@ def test_validation():
         m.GaussianPacket(0.0, -1.0, 0.0)
     with pytest.raises(ValueError):
         m.cross_term_kernel_overlap(-1.0, 1.0, 1.0)
-    with pytest.raises(ValueError):
-        m.cross_term_kernel_overlap(1.0, 1.0, 1.0, dims=2)
     for r_c in (math.nan, math.inf, 0.0):
         with pytest.raises(ValueError):
             m.cross_term_kernel_overlap(1.0, 1.0, r_c)
