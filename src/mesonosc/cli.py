@@ -119,12 +119,29 @@ def _write_run(args, files, text: str, manifest: str) -> None:
         if not args.out:
             # flushed here, so a failed write is caught while files exist
             for stream, body in ((sys.stdout, text), (sys.stderr, manifest)):
-                stream.write(body)
-                stream.flush()
+                try:
+                    stream.write(body)
+                    stream.flush()
+                except OSError:
+                    _drop_buffer(stream)
+                    raise
     except BaseException:
         for path in opened:
             os.remove(path)
         raise
+
+
+def _drop_buffer(stream) -> None:
+    """Point a stream whose write failed at os.devnull, so that the
+    interpreter's flush at exit drops what its buffer still holds instead
+    of failing again and exiting 120 (Python's recipe for SIGPIPE)."""
+    try:
+        fd = stream.fileno()
+    except (AttributeError, OSError, ValueError):
+        return  # a stream without a file descriptor is left as it is
+    devnull = os.open(os.devnull, os.O_WRONLY)
+    os.dup2(devnull, fd)
+    os.close(devnull)
 
 
 def _manifest(args, config_text: str, started: float) -> dict:

@@ -170,38 +170,64 @@ DEFAULT_CONFIG = {
 }
 
 
+def _entries(doc: dict, section: str) -> list:
+    """A section's entries: a list of objects, each with a string 'name'."""
+    entries = doc.get(section, [])
+    if not isinstance(entries, list):
+        raise ConfigError(f"'{section}' must be a list of objects")
+    for entry in entries:
+        if not (isinstance(entry, dict) and isinstance(entry.get("name"), str)):
+            raise ConfigError(f"each '{section}' entry must be an object with "
+                              f"a string 'name', not {entry!r}")
+    return entries
+
+
+def _number(entry: dict, key: str) -> float:
+    try:
+        return float(entry[key])
+    except KeyError:
+        raise ConfigError(f"missing required field '{key}'") from None
+    except (TypeError, ValueError, OverflowError):
+        raise ConfigError(
+            f"'{key}' must be a number, not {entry[key]!r}") from None
+
+
 def load_config(text: str) -> Registry:
     """Build a Registry from a JSON document (see DEFAULT_CONFIG for schema).
 
     Lifetimes are converted to widths via Gamma = hbar/tau, and an
-    'm_heavy_mev' to the stored splitting m_heavy_mev - m_light.
+    'm_heavy_mev' to the stored splitting m_heavy_mev - m_light.  A
+    document of the wrong shape (a section that is not a list of objects,
+    a name that is not a string, a value that is not a number) raises
+    ConfigError.
     """
     try:
         doc = json.loads(text)
-    except json.JSONDecodeError as exc:
+    except (ValueError, RecursionError) as exc:
+        # JSONDecodeError, an integer past Python's digit limit, or nesting
+        # too deep for the decoder
         raise ConfigError(f"malformed JSON: {exc}") from exc
+    if not isinstance(doc, dict):
+        raise ConfigError("config must be a JSON object")
 
     species: dict[str, MesonSpecies] = {}
-    for entry in doc.get("species", []):
-        try:
-            name = entry["name"]
-            m_light = float(entry["m_light_mev"])
-            tau_light = float(entry["tau_light_s"])
-            tau_heavy = float(entry["tau_heavy_s"])
-        except KeyError as exc:
-            raise ConfigError(f"missing required field {exc}") from None
+    for entry in _entries(doc, "species"):
+        name = entry["name"]
+        m_light = _number(entry, "m_light_mev")
+        tau_light = _number(entry, "tau_light_s")
+        tau_heavy = _number(entry, "tau_heavy_s")
         if "delta_m_mev" in entry:
-            delta_m = float(entry["delta_m_mev"])
+            delta_m = _number(entry, "delta_m_mev")
         elif "m_heavy_mev" in entry:
-            delta_m = float(entry["m_heavy_mev"]) - m_light
+            delta_m = _number(entry, "m_heavy_mev") - m_light
         else:
             raise ConfigError(
                 f"{name}: provide either 'delta_m_mev' or 'm_heavy_mev'"
             )
         if name in species:
             raise ConfigError(f"duplicate species '{name}'")
-        if not all(math.isfinite(tau) and tau > 0
-                   for tau in (tau_light, tau_heavy)):
+        # NaN fails every comparison
+        if not (0 < tau_light < math.inf and 0 < tau_heavy < math.inf):
             raise ConfigError(f"{name}: lifetimes must be finite and > 0")
         species[name] = MesonSpecies(
             name=name,
@@ -214,16 +240,13 @@ def load_config(text: str) -> Registry:
         )
 
     presets: dict[str, CslParams] = {}
-    for entry in doc.get("csl", []):
-        try:
-            name = entry["name"]
-            params = CslParams(
-                gamma=float(entry["gamma_cm3_per_s"]),
-                r_c=float(entry["r_c_cm"]),
-                m0=float(entry["m0_mev"]),
-            )
-        except KeyError as exc:
-            raise ConfigError(f"missing required field {exc}") from None
+    for entry in _entries(doc, "csl"):
+        name = entry["name"]
+        params = CslParams(
+            gamma=_number(entry, "gamma_cm3_per_s"),
+            r_c=_number(entry, "r_c_cm"),
+            m0=_number(entry, "m0_mev"),
+        )
         if name in presets:
             raise ConfigError(f"duplicate CSL preset '{name}'")
         presets[name] = params

@@ -17,6 +17,7 @@ import numpy as np
 
 from .constants import CONSTANTS, MesonSpecies
 from .entangle import _interference_fraction
+from .oracle import _block_rng
 
 # 90% quantile of chi^2 with one degree of freedom, for the
 # likelihood-ratio interval Delta(-2 logL) <= threshold
@@ -99,9 +100,9 @@ def generate_events(
     Times are inverse-CDF sampled on `default_time_grid` from the survival
     envelope (exp(-G_l t/hbar) + exp(-G_h t/hbar))/2; the flavor pair is
     then drawn from the conditional four-outcome distribution of the zeta
-    model.  Randomness comes from one counter-based Philox stream; row i of
-    the uniform block belongs to event i.  The seed is one 64-bit word of
-    the Philox key, as in the oracle: a seed outside [0, 2**64) raises
+    model.  Randomness comes from the oracle's Philox block 0 for this
+    seed; row i of the (n, 3) uniforms belongs to event i.  The seed is one
+    64-bit word of the Philox key: a seed outside [0, 2**64) raises
     OverflowError.
     """
     if not 0 <= seed < 2**64:
@@ -116,8 +117,7 @@ def generate_events(
     cdf = np.cumsum(weights)
     cdf /= cdf[-1]
 
-    rng = np.random.Generator(np.random.Philox(key=seed))
-    u = rng.random((n, 3))
+    u = _block_rng(seed, 0).random((n, 3))
     t_l = time_grid[np.searchsorted(cdf, u[:, 0], side="left")]
     t_r = time_grid[np.searchsorted(cdf, u[:, 1], side="left")]
 

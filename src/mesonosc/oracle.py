@@ -19,16 +19,12 @@ step size.
 
 Trajectories come in fixed blocks of BLOCK; block b fills its rows in order
 from one counter-based Philox substream keyed by (seed, b) (Salmon et al.,
-SC 2011).  A processing chunk holds whole blocks and each row is reduced on
-its own, so a fixed seed gives bitwise identical results at any chunk size.
-
-Chunks are split across one thread per usable CPU.  That cannot change a
-bit either: a block's normals depend only on its key, not on the thread or
-the order it is drawn in; each thread writes the cosines of its own rows
-into a disjoint slice; and the mean and standard error are taken over the
-whole array in the calling thread, as in the serial loop.  The threads'
-buffers together are no larger than one serial chunk, and a run of one
-chunk starts no thread.
+SC 2011), and each row is reduced on its own.  The blocks are dealt to one
+thread per usable CPU, which cannot change a bit: a block's normals depend
+only on its key, not on the thread or the order it is drawn in; each thread
+writes the cosines of its own rows into a disjoint slice; and the mean and
+standard error are taken over the whole array in the calling thread.  A
+thread holds one block of normals at a time; one block starts no thread.
 """
 
 from __future__ import annotations
@@ -42,8 +38,7 @@ import numpy as np
 
 from .kernels import ExponentialKernel, NoiseKernel, WhiteKernel
 
-BLOCK = 256          # trajectories per Philox key
-_CHUNK = 16 * BLOCK  # trajectories per processing chunk; a multiple of BLOCK
+BLOCK = 256  # trajectories per Philox key
 # worker threads: one per CPU this process may run on
 _WORKERS = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
             else os.cpu_count() or 1)
@@ -93,6 +88,12 @@ class OracleResult:
     def __post_init__(self):
         if abs(self.mean_interference) > 1.0 + 3.0 * self.std_error:
             raise PlanError("mean interference outside physical range")
+
+
+def _block_rng(seed: int, block: int) -> np.random.Generator:
+    # uint64 words: from a Python list numpy changes seeds >= 2**63
+    key = np.array([seed, block], dtype=np.uint64)
+    return np.random.Generator(np.random.Philox(key=key))
 
 
 def _phase_weights(plan: SimulationPlan, f0: float) -> np.ndarray:
@@ -149,43 +150,34 @@ def simulate_damping(gamma_j: float, gamma_k: float, f0: float, t: float,
         return OracleResult(1.0, 0.0, prediction)
     w = _phase_weights(plan, f0)
     n = plan.n_trajectories
-    rows = min(_CHUNK, n)
-    workers = max(1, min(_WORKERS, rows // BLOCK))
-    # the workers' chunks shrink so that their buffers together hold at most
-    # one serial chunk; each is a whole number of blocks
-    chunk = rows if workers == 1 else rows // workers // BLOCK * BLOCK
+    blocks = -(-n // BLOCK)
+    workers = min(_WORKERS, blocks)
     cos_vals = np.empty(n, dtype=float)
-    z = np.empty((workers, chunk, w.size), dtype=float)
     errors = []
 
-    def fill(buf, starts):
-        # numpy calls only: fills release the GIL, and no mesonosc function
-        # runs off the calling thread
+    def fill(first):
+        # numpy releases the GIL while it fills and reduces a block
         try:
-            for lo in starts:
+            z = np.empty((BLOCK, w.size))
+            for b in range(first, blocks, workers):
                 if errors:
                     return
-                hi = min(lo + chunk, n)
-                for start in range(lo, hi, BLOCK):
-                    # as uint64 words: from a Python list numpy changes
-                    # seeds >= 2**63
-                    key = np.array([plan.seed, start // BLOCK], dtype=np.uint64)
-                    rng = np.random.Generator(np.random.Philox(key=key))
-                    rng.standard_normal(out=buf[start - lo:min(start + BLOCK, hi) - lo])
+                lo, hi = b * BLOCK, min((b + 1) * BLOCK, n)
+                rows = z[:hi - lo]
+                _block_rng(plan.seed, b).standard_normal(out=rows)
                 # einsum reduces each row on its own; a threaded BLAS matmul
-                # splits rows by chunk size and can change the last bits
+                # splits rows by their count and can change the last bits
                 cos_vals[lo:hi] = np.cos(
-                    coupling * np.einsum("ij,j->i", buf[:hi - lo], w))
+                    coupling * np.einsum("ij,j->i", rows, w))
         except BaseException as exc:
             errors.append(exc)
 
-    # worker k takes chunks k, k + workers, ...; the calling thread is
-    # worker 0, so one worker starts no thread
-    jobs = [(z[k], range(k * chunk, n, workers * chunk)) for k in range(workers)]
-    threads = [threading.Thread(target=fill, args=job) for job in jobs[1:]]
+    # worker k takes blocks k, k + workers, ...; the caller is worker 0
+    threads = [threading.Thread(target=fill, args=(k,))
+               for k in range(1, workers)]
     for thread in threads:
         thread.start()
-    fill(*jobs[0])
+    fill(0)
     for thread in threads:
         thread.join()
     if errors:

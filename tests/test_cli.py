@@ -121,11 +121,18 @@ def test_diag_reports_discrepancies(tmp_path):
     )
 
 
-def test_exit_code_config_error():
+def test_exit_code_config_error(tmp_path):
     assert cli.main(["single", "--species", "T0"]) == 3
     assert cli.main(["rates", "--csl-preset", "nope"]) == 3
     assert cli.main(["single", "--model", "csl", "--kernel", "foo"]) == 3
     assert cli.main(["fit"]) == 3  # neither --events nor --zeta-true
+    # config documents of the wrong shape are config errors too
+    cfg = tmp_path / "cfg.json"
+    for text in ("[]", '{"species": [{"name": "X", "m_light_mev": "abc", '
+                       '"delta_m_mev": 1e-12, "tau_light_s": 1e-10, '
+                       '"tau_heavy_s": 1e-8}]}'):
+        cfg.write_text(text)
+        assert cli.main(["--config", str(cfg), "rates"]) == 3
 
 
 def test_exit_code_usage_error():
@@ -393,8 +400,8 @@ def test_mc_is_byte_identical_across_reruns_and_chunk_sizes(tmp_path,
             "1", "--t", "1", "--n-trajectories", "1300", "--n-steps", "20",
             "--kernel", "exp:0.5"]
     outs = []
-    for i, chunk in enumerate((4096, 4096, 256)):
-        monkeypatch.setattr(oracle, "_CHUNK", chunk)
+    for i, workers in enumerate((1, 2, 3)):
+        monkeypatch.setattr(oracle, "_WORKERS", workers)
         _, out = run(argv, tmp_path, f"mc{i}.json")
         outs.append(out.read_bytes())
     assert outs[0] == outs[1] == outs[2]
@@ -544,18 +551,19 @@ def test_fit_too_large_to_allocate_is_numeric_failure(tmp_path):
     assert list(tmp_path.iterdir()) == []
 
 
+def cap_file_size():
+    """In a child process: a write past 100 kB fails with EFBIG."""
+    import resource
+    import signal
+    signal.signal(signal.SIGXFSZ, signal.SIG_IGN)
+    resource.setrlimit(resource.RLIMIT_FSIZE, (100_000, 100_000))
+
+
 @pytest.mark.parametrize("out", [["--out", "fit.json"], []],
                          ids=["out", "stdout"])
 def test_event_file_past_file_size_limit_leaves_no_file(tmp_path, out):
     # the event file (about 900 kB) is cut off at the child's 100 kB limit;
     # what was written of it goes, with the rest of the run's files
-    import resource
-    import signal
-
-    def cap_file_size():
-        signal.signal(signal.SIGXFSZ, signal.SIG_IGN)
-        resource.setrlimit(resource.RLIMIT_FSIZE, (100_000, 100_000))
-
     argv = out + ["fit", "--zeta-true", "0.2", "--n-events", "20000",
                   "--save-events", "ev.csv"]
     src = str(Path(cli.__file__).resolve().parents[1])
@@ -565,6 +573,29 @@ def test_event_file_past_file_size_limit_leaves_no_file(tmp_path, out):
                           env={**os.environ, "PYTHONPATH": src})
     assert proc.returncode == 3, proc.stderr
     assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("argv", [
+    ["rates"],
+    ["fit", "--zeta-true", "0.2", "--n-events", "500", "--save-events",
+     "ev.csv"],
+], ids=["rates", "fit"])
+def test_failed_stdout_flush_exits_3(tmp_path, argv):
+    # stdout is a file already at the child's 100 kB limit, and the text
+    # fits in its buffer, so the failure shows at the flush; the text left
+    # in the buffer must not fail again at interpreter exit (exit 120)
+    stdout = tmp_path / "stdout.txt"
+    stdout.write_bytes(b"x" * 100_000)
+    src = str(Path(cli.__file__).resolve().parents[1])
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+    with stdout.open("ab") as fh:
+        proc = subprocess.run([sys.executable, "-m", "mesonosc.cli", *argv],
+                              cwd=tmp_path, preexec_fn=cap_file_size,
+                              stdout=fh, stderr=subprocess.PIPE, text=True,
+                              timeout=120, env=env | {"PYTHONPATH": src})
+    assert proc.returncode == 3, proc.stderr
+    assert proc.stderr.startswith("config or file error: ")
+    assert list(tmp_path.iterdir()) == [stdout]
 
 
 class _StdoutPastSizeLimit:

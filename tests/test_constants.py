@@ -58,8 +58,27 @@ def test_unknown_names_raise_config_error():
 
 
 def test_malformed_json_raises():
-    with pytest.raises(m.ConfigError):
-        m.load_config("{not json")
+    # and documents of the wrong shape, which must not escape as a
+    # TypeError, an AttributeError or a ValueError other than ConfigError
+    species = {"name": "X", "m_light_mev": 100.0, "delta_m_mev": 1e-12,
+               "tau_light_s": 1e-10, "tau_heavy_s": 1e-8}
+    preset = {"name": "p", "gamma_cm3_per_s": 1e-30, "r_c_cm": 1e-5,
+              "m0_mev": 940.0}
+    for doc, message in [
+        ([], "JSON object"),
+        ({"species": {"a": 1}}, "list of objects"),
+        ({"species": ["K0"]}, "object with a string 'name'"),
+        ({"species": [species | {"m_light_mev": None}]}, "m_light_mev"),
+        ({"species": [species | {"m_light_mev": "abc"}]}, "m_light_mev"),
+        ({"species": [species | {"name": ["X"]}]}, "string 'name'"),
+        ({"species": [species | {"tau_light_s": 10**400}]}, "tau_light_s"),
+        ({"csl": [preset | {"gamma_cm3_per_s": [1]}]}, "gamma_cm3_per_s"),
+    ]:
+        with pytest.raises(m.ConfigError, match=message):
+            m.load_config(json.dumps(doc))
+    for text in ("{not json", "1" * 5000, "[" * 100_000 + "]" * 100_000):
+        with pytest.raises(m.ConfigError, match="malformed JSON"):
+            m.load_config(text)
 
 
 def test_missing_field_raises():

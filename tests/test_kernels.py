@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from mesonosc.kernels import (
@@ -68,10 +68,20 @@ def test_exponential_growth_integral_matches_mpmath(tau):
             assert ExponentialKernel(tau=tau).growth_integral(ti) == di
 
 
-def test_exponential_white_limit():
-    t = 1.0
-    k = ExponentialKernel(tau=1e-4 * t)
-    assert k.growth_integral(t) == pytest.approx(0.5 * t, rel=1.1e-4)
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(log_tau=st.floats(-300.0, 300.0), log_ratio=st.floats(-8.0, 30.0),
+       gauss=st.booleans())
+@example(log_tau=-4.0, log_ratio=4.0, gauss=False)
+def test_kernel_white_limits(log_tau, log_ratio, gauss):
+    # D(t) tends to t/2 with a relative error below tau/t: with x = t/tau it
+    # is (tau/t)(1 - e^-x) for the exponential kernel, and for the Gaussian
+    # (tau/t)(x erfc(x/sqrt 2) + sqrt(2/pi)(1 - e^(-x^2/2))) <= 0.8 tau/t;
+    # 4.5e-16 allows for rounding where tau/t is below the float epsilon
+    tau = 10.0 ** log_tau
+    t = tau * 10.0 ** log_ratio
+    assume(math.isfinite(t))
+    kernel = GaussianKernel(tau) if gauss else ExponentialKernel(tau)
+    assert abs(kernel.growth_integral(t) / (0.5 * t) - 1.0) <= tau / t + 4.5e-16
 
 
 @pytest.mark.parametrize("tau", [1e-300, 1e-310])

@@ -90,23 +90,6 @@ def test_different_seeds_differ():
     assert a.mean_interference != b.mean_interference
 
 
-def test_chunking_does_not_change_the_stream(monkeypatch):
-    # block-keyed substreams and per-row reductions make the result
-    # independent of chunk layout; 5000 is not a multiple of BLOCK, so the
-    # last block is partial under both chunk sizes
-    ou = m.SimulationPlan(n_trajectories=5000, n_steps=64, dt=1.0 / 64,
-                          seed=3, kernel=m.ExponentialKernel(tau=0.2))
-    for plan in (white_plan(seed=3, n_traj=5000), ou):
-        assert plan.n_trajectories % oracle.BLOCK != 0
-        results = []
-        for chunk in (4096, 512):
-            monkeypatch.setattr(oracle, "_CHUNK", chunk)
-            results.append(m.simulate_damping(4.0, 1.0, 1.0, 1.0, plan))
-        big, small = results
-        assert big.mean_interference == small.mean_interference
-        assert big.std_error == small.std_error
-
-
 def test_trajectory_rows_come_from_block_keyed_philox():
     # the documented seed-to-value map: trajectory i is row i % BLOCK of
     # Philox(key=[seed, i // BLOCK]), summed with weight sqrt(f0 dt)
@@ -131,9 +114,9 @@ def record_block_threads(monkeypatch):
 
 
 def test_results_do_not_depend_on_workers_or_chunk_size(monkeypatch):
-    # every worker count and chunk size gives the same bits; white and OU
-    # plans whose last block is partial, a plan smaller than one chunk and a
-    # seed that needs the top bit of its uint64 key word
+    # every worker count gives the same bits; white and OU plans whose last
+    # block is partial, a plan of two blocks and a seed that needs the top
+    # bit of its uint64 key word
     ou = m.SimulationPlan(n_trajectories=5000, n_steps=64, dt=1.0 / 64,
                           seed=3, kernel=m.ExponentialKernel(tau=0.2))
     plans = (white_plan(seed=3, n_traj=5000), ou,
@@ -142,16 +125,14 @@ def test_results_do_not_depend_on_workers_or_chunk_size(monkeypatch):
     for plan in plans:
         results = set()
         for workers in (1, 2, 3):
-            for chunk in (4096, 512):
-                monkeypatch.setattr(oracle, "_WORKERS", workers)
-                monkeypatch.setattr(oracle, "_CHUNK", chunk)
-                threads = record_block_threads(monkeypatch)
-                res = m.simulate_damping(4.0, 1.0, 1.0, 1.0, plan)
-                results.add((res.mean_interference, res.std_error))
-                # one worker, or a plan of one chunk, stays on the caller
-                on_caller = set(threads.values()) == {threading.get_ident()}
-                single = plan.n_trajectories < 2 * oracle.BLOCK
-                assert on_caller == (workers == 1 or single)
+            monkeypatch.setattr(oracle, "_WORKERS", workers)
+            threads = record_block_threads(monkeypatch)
+            res = m.simulate_damping(4.0, 1.0, 1.0, 1.0, plan)
+            results.add((res.mean_interference, res.std_error))
+            # one worker, or a plan of one block, stays on the caller
+            on_caller = set(threads.values()) == {threading.get_ident()}
+            single = plan.n_trajectories <= oracle.BLOCK
+            assert on_caller == (workers == 1 or single)
         assert len(results) == 1
 
 
@@ -164,9 +145,8 @@ def test_single_chunk_run_starts_no_thread(monkeypatch):
 
 def test_threaded_rows_follow_the_documented_row_map(monkeypatch):
     # trajectory i is row i % BLOCK of Philox(key=[seed, i // BLOCK]) times
-    # the phase weights, across six chunks on two workers
+    # the phase weights, across six blocks on two workers
     monkeypatch.setattr(oracle, "_WORKERS", 2)
-    monkeypatch.setattr(oracle, "_CHUNK", 2 * oracle.BLOCK)
     seed, n = 2**63 + 11, 1300
     plan = m.SimulationPlan(n_trajectories=n, n_steps=20, dt=1.0 / 20,
                             seed=seed, kernel=m.ExponentialKernel(tau=0.5))
@@ -185,13 +165,12 @@ def test_threaded_rows_follow_the_documented_row_map(monkeypatch):
 
 
 def test_more_workers_than_cores_with_frequent_switches(monkeypatch):
-    # 20 one-block chunks on 4 threads that switch every microsecond: a
-    # chunk lost or written twice into another's slice changes the bits
+    # 20 blocks on 4 threads that switch every microsecond: a block lost or
+    # written twice into another's slice changes the bits
     plan = white_plan(seed=13, n_traj=5000, n_steps=16, dt=1.0 / 16)
     monkeypatch.setattr(oracle, "_WORKERS", 1)
     serial = m.simulate_damping(4.0, 1.0, 1.0, 1.0, plan)
     monkeypatch.setattr(oracle, "_WORKERS", 4)
-    monkeypatch.setattr(oracle, "_CHUNK", 4 * oracle.BLOCK)
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
     try:
