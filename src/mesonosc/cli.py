@@ -144,6 +144,16 @@ def _drop_buffer(stream) -> None:
     os.close(devnull)
 
 
+def _report(message: str) -> None:
+    """Write message to stderr and flush it.  A message that cannot be
+    written is dropped, so that the exit code main returns stands."""
+    try:
+        sys.stderr.write(message)
+        sys.stderr.flush()
+    except OSError:
+        _drop_buffer(sys.stderr)
+
+
 def _manifest(args, config_text: str, started: float) -> dict:
     params = {
         k: v for k, v in sorted(vars(args).items())
@@ -347,7 +357,11 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    try:
+        args = build_parser().parse_args(argv)
+    except SystemExit:
+        _report("")  # argparse has written its message, or failed to
+        raise
     started = time.monotonic()
     try:
         reg, config_text = _load_registry(args)
@@ -355,13 +369,13 @@ def main(argv=None) -> int:
         _write_run(args, files, text,
                    _json(_manifest(args, config_text, started)))
     except (ConfigError, KernelError, OSError) as exc:
-        print(f"config or file error: {exc}", file=sys.stderr)
+        _report(f"config or file error: {exc}\n")
         return EXIT_CONFIG
     except (PlanError, ArithmeticError, MemoryError) as exc:
-        print(f"numeric failure: {exc}", file=sys.stderr)
+        _report(f"numeric failure: {exc}\n")
         return EXIT_NUMERIC
     except ValueError as exc:
-        print(f"usage error: {exc}", file=sys.stderr)
+        _report(f"usage error: {exc}\n")
         return EXIT_USAGE
     return EXIT_OK
 

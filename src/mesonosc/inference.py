@@ -262,10 +262,13 @@ def lambda_to_zeta(lam: float, t_min: float) -> float:
 
 
 def lambda_ratio(lam: float, species: MesonSpecies) -> float:
-    """Damping rate divided by the light-eigenstate decay rate (dimensionless)."""
+    """Damping rate over the light state's decay rate; OverflowError if inf."""
     if lam < 0:
         raise ValueError("rate must be >= 0")
-    return lam * CONSTANTS.hbar_mev_s / species.gamma_light
+    ratio = lam * CONSTANTS.hbar_mev_s / species.gamma_light
+    if not math.isfinite(ratio):
+        raise OverflowError(f"{lam:g}/s over {species.name}'s width overflows")
+    return ratio
 
 
 # the end of a row after its right time, indexed by 2 anti_left + anti_right
@@ -294,8 +297,6 @@ def events_to_csv(events: EventTable) -> str:
     return _HEADER + "\n" + "".join(pieces.tolist())
 
 
-# the characters other than "\n" that str.strip removes from an ASCII line
-_ASCII_WHITESPACE = "\t\x0b\x0c\r\x1c\x1d\x1e\x1f "
 # A time cell of at most _KEY_BYTES bytes is keyed by those bytes, read as
 # little-endian uint64 words that end where the cell ends; the bytes of a
 # word that lie before the cell are set to 0xFF.
@@ -331,9 +332,8 @@ def _first_equal_key(words: list[np.ndarray]) -> np.ndarray:
 
 
 def _uniform_columns(text: str, offset: int) -> tuple | None:
-    """The event columns of text, an ASCII file whose lines hold no
-    whitespace at either end and whose header ends at text[offset - 1];
-    None unless every row has one layout and parses.
+    """The event columns of text, an ASCII file whose header ends at
+    text[offset - 1]; None unless every row has one layout and parses.
 
     That layout is two time cells of one width w, 1 <= w <= _KEY_BYTES,
     and two one-byte flavor codes P or A: w + 1 + w + 4 bytes and a
@@ -396,29 +396,22 @@ def events_from_csv(text: str) -> EventTable:
     it, and times parse as ``float()`` does, correctly rounded; the first
     time that does not parse, left column before right, is named.
 
-    Rows are read by stride when they all have the first row's width,
-    with two time cells of one width (at most 24 bytes) and one-byte
-    flavor codes, as in every file events_to_csv writes: first from the
-    text as it stands, if it is ASCII with no whitespace but newlines,
-    then from its stripped non-blank lines, if they are ASCII.  A file
-    that neither try reads, or that does not parse, is parsed line by
-    line; only that parse raises on a malformed row, code or time cell.
+    Rows are read by stride when the text is ASCII and every row has the
+    layout events_to_csv writes: two time cells of one width (at most 24
+    bytes) and two one-byte codes; float() reads or rejects whitespace
+    that starts a row, in its left cell.  Any other file, or one that does
+    not parse so, is parsed line by line, and only that parse raises.
     """
     cut = text.find("\n")
     header = text[:cut] if cut >= 0 else text
     if header.strip() != _HEADER:
         raise ValueError("bad event file header")
-    if text.isascii() and not any(c in text for c in _ASCII_WHITESPACE):
+    if text.isascii():
         columns = _uniform_columns(text, len(header) + 1)
         if columns is not None:
             return EventTable(*columns)
     lines = text[len(header) + 1:].split("\n")
     rows = [line for line in map(str.strip, lines) if line]
-    stripped = "\n".join([_HEADER, *rows, ""])
-    if stripped.isascii():
-        columns = _uniform_columns(stripped, len(_HEADER) + 1)
-        if columns is not None:
-            return EventTable(*columns)
     if set(map(str.count, rows, repeat(","))) - {3}:
         raise ValueError("event rows need exactly four columns")
     cells = ",".join(rows).split(",") if rows else []

@@ -84,14 +84,22 @@ def energy_difference(species: MesonSpecies, j: Eigenstate, k: Eigenstate,
     return de if j is Eigenstate.HEAVY else -de
 
 
+def _csl_rate(params: CslParams, species: MesonSpecies, dm: float) -> float:
+    """gamma (dm/m0)^2 F(0)/2 for the mass splitting dm; a preset whose
+    rate is not finite raises OverflowError."""
+    rate = params.gamma * (dm / params.m0) ** 2 * spatial_zero(params.r_c) / 2.0
+    if not math.isfinite(rate):
+        raise OverflowError(f"the CSL damping rate of {species.name} overflows")
+    return rate
+
+
 def csl_damping_rate(params: CslParams, species: MesonSpecies) -> float:
     """White-noise interference damping rate in s^-1.
 
     gamma (m_heavy - m_light)^2 / (16 pi^{3/2} r_C^3 m0^2), equal to
-    gamma (dm/m0)^2 F(0)/2.
+    gamma (dm/m0)^2 F(0)/2.  Raises OverflowError where it is not finite.
     """
-    dm = species.delta_m
-    return params.gamma * (dm / params.m0) ** 2 * spatial_zero(params.r_c) / 2.0
+    return _csl_rate(params, species, species.delta_m)
 
 
 def _effective_mass_difference(species: MesonSpecies, p: float) -> float:
@@ -122,10 +130,10 @@ def csl_damping_rate_relativistic(
     params: CslParams, species: MesonSpecies, p: float
 ) -> float:
     """Damping rate at momentum p [MeV/c], with the m^2 c^4 / E corrections
-    of the perturbative kernel factors.  Reduces to csl_damping_rate at p=0.
+    of the perturbative kernel factors.  Reduces to csl_damping_rate at p=0,
+    and like it raises OverflowError where it is not finite.
     """
-    dm_eff = _effective_mass_difference(species, p)
-    return params.gamma * (dm_eff / params.m0) ** 2 * spatial_zero(params.r_c) / 2.0
+    return _csl_rate(params, species, _effective_mass_difference(species, p))
 
 
 def damping_exponent(
@@ -140,18 +148,19 @@ def damping_exponent(
     a scalar or an array of times; relativistic CSL uses the momentum p."""
     t = _times(t, ValueError)
     if j is k or isinstance(spec, NoDamping):
-        exponent = np.zeros_like(t)
+        slope, growth = 0.0, np.zeros_like(t)
     elif isinstance(spec, LindbladDamping):
-        # an exponent that overflows to inf damps the factor to exactly 0
-        with np.errstate(over="ignore"):
-            exponent = spec.lambda_single * t
+        slope, growth = spec.lambda_single, t
     elif isinstance(spec, CslDamping):
         rate = (csl_damping_rate_relativistic(spec.params, species, p)
                 if spec.relativistic else csl_damping_rate(spec.params, species))
         # the white-noise rate is the exponent's slope, coefficient of D = t/2
-        exponent = 2.0 * rate * spec.kernel.growth_integral(t)
+        slope, growth = 2.0 * rate, spec.kernel.growth_integral(t)
     else:
         raise TypeError(f"unknown damping spec {spec!r}")
+    # an exponent that overflows to inf damps the factor to exactly 0
+    with np.errstate(over="ignore"):
+        exponent = slope * growth
     return exponent if t.ndim else float(exponent)
 
 

@@ -380,6 +380,32 @@ def test_csl_at_vanishing_correlation_time_gives_finite_rows(tmp_path, kernel,
                for cell in row.split(","))
 
 
+@pytest.mark.parametrize("argv, r_c, tau_light_b0", [
+    # gamma F(0) overflows: no inf cells, no NaN rows at t = 0
+    (["rates"], 1e-100, None),
+    (["single", "--model", "csl"], 1e-100, None),
+    (["joint", "--model", "csl"], 1e-100, None),
+    # a finite rate (about 1e288/s) over a width of about 7e-52 MeV
+    (["rates"], 1e-5, 1e30),
+], ids=["rates", "single", "joint", "rates-ratio"])
+def test_csl_preset_that_overflows_is_numeric_failure(tmp_path, argv, r_c,
+                                                      tau_light_b0):
+    # the preset 'huge' and every lifetime are finite and accepted
+    import mesonosc as m
+    species = [sp | {"tau_light_s": tau_light_b0}
+               if tau_light_b0 and sp["name"] == "B0" else sp
+               for sp in m.DEFAULT_CONFIG["species"]]
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(m.DEFAULT_CONFIG | {"species": species, "csl": [
+        {"name": "huge", "gamma_cm3_per_s": 1e300, "r_c_cm": r_c,
+         "m0_mev": 9.4e2}]}))
+    out = tmp_path / "out"
+    out.mkdir()
+    assert cli.main(["--config", str(cfg), "--out", str(out / "x.csv"),
+                     *argv, "--csl-preset", "huge"]) == 4
+    assert list(out.iterdir()) == []
+
+
 @pytest.mark.parametrize("bad", [
     ["--gamma-j", "nan"], ["--gamma-k", "inf"], ["--f0", "inf"],
     ["--f0", "nan"], ["--t", "nan"], ["--t", "inf"],
@@ -597,6 +623,30 @@ def test_failed_stdout_flush_exits_3(tmp_path, argv):
     assert proc.stderr.startswith("config or file error: ")
     assert list(tmp_path.iterdir()) == [stdout]
 
+
+@pytest.mark.parametrize("argv, code", [
+    (["--config", "missing.json", "rates"], 3),
+    (["rates", "--bogus"], 2),
+    (["single", "--t-grid", "0:1:0"], 2),
+    (["--seed", "-1", "fit", "--zeta-true", "0.2"], 4),
+], ids=["config", "argparse", "usage", "numeric"])
+def test_exit_code_stands_when_stderr_fails(tmp_path, argv, code):
+    # stderr is a file already at the child's 100 kB limit, so the error
+    # message (main's or argparse's) cannot be written; the text left in
+    # the buffer must not fail again at interpreter exit (exit 120)
+    stderr = tmp_path / "stderr.txt"
+    stderr.write_bytes(b"x" * 100_000)
+    src = str(Path(cli.__file__).resolve().parents[1])
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+    with stderr.open("ab") as fh:
+        proc = subprocess.run([sys.executable, "-m", "mesonosc.cli", *argv],
+                              cwd=tmp_path, preexec_fn=cap_file_size,
+                              stdout=subprocess.PIPE, stderr=fh, timeout=120,
+                              env=env | {"PYTHONPATH": src})
+    assert proc.returncode == code
+    assert proc.stdout == b""
+    assert list(tmp_path.iterdir()) == [stderr]
+    assert stderr.stat().st_size == 100_000
 
 class _StdoutPastSizeLimit:
     """A buffered stdout whose text cannot reach its file."""

@@ -315,6 +315,9 @@ def test_first_bad_time_of_the_left_column_is_named():
         parse_outcome(reference_events_from_csv, text)
 
 
+# the nine ASCII characters other than "\n" that str.strip removes
+STRIPPED_ASCII = "\t\x0b\x0c\r\x1c\x1d\x1e\x1f "
+
 # times whose %.12e and %.17e cells have one width: 0 and [1e-99, 1e99);
 # a few fixed ones make cells that repeat
 UNIFORM_TIMES = st.one_of(st.sampled_from([0.0, 1e-10, 2.5e-10]),
@@ -355,7 +358,7 @@ def uniform_files(draw):
         lines = [line[:-1] + "\r\n" for line in lines]
     elif mutation == "pad":  # whitespace around one or more lines
         for j in draw(st.sets(st.integers(0, len(lines) - 1), min_size=1)):
-            pad = draw(st.text(st.sampled_from(inference._ASCII_WHITESPACE),
+            pad = draw(st.text(st.sampled_from(STRIPPED_ASCII),
                                min_size=1, max_size=3))
             cut = draw(st.integers(0, len(pad)))
             lines[j] = pad[:cut] + lines[j][:-1] + pad[cut:] + "\n"
@@ -399,26 +402,24 @@ def test_written_files_take_the_uniform_path(name, monkeypatch):
     assert len(results) == 1 and results[0] is not None
 
 
-@pytest.mark.parametrize("edit", ["blank", "crlf"])
-def test_stripped_rows_take_the_uniform_path(edit, monkeypatch):
+@pytest.mark.parametrize("edit, strided", [
+    ("blank", [False]), ("crlf", [False]), ("space", [False]),
+    ("mixed", [False]), ("unended", [True]), ("nbsp", []),
+], ids=["blank", "crlf", "space", "mixed", "unended", "nbsp"])
+def test_reader_path_by_file_edit(edit, strided, monkeypatch):
+    # each call of the strided reader, True where it read the file; a file
+    # it does not read goes to the line parse, which the reference mirrors
     text = m.events_to_csv(m.generate_events(K0, 0.27, 300, 5))
-    if edit == "blank":
-        cut = text.index("\n", 1000)
-        text = text[:cut] + "\n" + text[cut:]
-    else:
-        text = text.replace("\n", "\r\n")
+    cut = text.index("\n", 1000)
+    text = {
+        "blank": text[:cut] + "\n" + text[cut:],
+        "crlf": text.replace("\n", "\r\n"),
+        "space": text[:cut] + " " + text[cut:],
+        "mixed": text + "1e-10,2e-10,P,A\n",
+        "unended": text[:-1],
+        "nbsp": text[:cut] + "\xa0" + text[cut:],
+    }[edit]
     results = record_uniform_columns(monkeypatch)
     assert parse_outcome(m.events_from_csv, text) == \
         parse_outcome(reference_events_from_csv, text)
-    # a CRLF file fails the first try's gate, so only the retry runs
-    assert [r is None for r in results] == \
-        ([True, False] if edit == "blank" else [False])
-
-
-def test_mixed_widths_take_the_line_parser(monkeypatch):
-    text = m.events_to_csv(m.generate_events(K0, 0.27, 300, 5))
-    text += "1e-10,2e-10,P,A\n"
-    results = record_uniform_columns(monkeypatch)
-    assert parse_outcome(m.events_from_csv, text) == \
-        parse_outcome(reference_events_from_csv, text)
-    assert results == [None, None]
+    assert [r is not None for r in results] == strided

@@ -130,6 +130,26 @@ def test_csl_white_equals_lindblad(sp, units, log_rate, final):
         )
 
 
+def test_csl_exponent_that_overflows_is_inf_without_warning():
+    # a finite rate (1.56e284/s) times D(1e30 s) overflows: exp(-inf)
+    # damps the factor to exactly 0, with no RuntimeWarning
+    light, heavy = Eigenstate.LIGHT, Eigenstate.HEAVY
+    huge = m.CslParams(gamma=1e300, r_c=1e-5, m0=9.4e2)
+    assert m.csl_damping_rate(huge, K0) == pytest.approx(1.56e284, rel=1e-2)
+    spec = m.CslDamping(params=huge)
+    assert m.damping_exponent(spec, K0, light, heavy,
+                              np.array([0.0, 1e30])).tolist() == [0.0, math.inf]
+
+
+def test_csl_rate_that_overflows_raises():
+    # every parameter is finite, but gamma F(0) is not
+    huge = m.CslParams(gamma=1e300, r_c=1e-100, m0=9.4e2)
+    with pytest.raises(OverflowError, match="CSL damping rate of K0"):
+        m.csl_damping_rate(huge, K0)
+    with pytest.raises(OverflowError, match="CSL damping rate of K0"):
+        m.csl_damping_rate_relativistic(huge, K0, 100.0)
+
+
 def test_damping_exponent_zero_on_diagonal():
     spec = m.CslDamping(params=STRONG)
     assert m.damping_exponent(spec, K0, Eigenstate.LIGHT, Eigenstate.LIGHT, 1e-9) == 0.0
