@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import errno
 import functools
 import gc
 import hashlib
@@ -118,46 +119,46 @@ def _write_run(args, files, text: str, manifest: str) -> None:
                 fh.write(body)
         if not args.out:
             # flushed here, so a failed write is caught while files exist
-            for stream, body in ((sys.stdout, text), (sys.stderr, manifest)):
-                try:
-                    stream.write(body)
-                    stream.flush()
-                except OSError:
-                    _drop_buffer(stream)
-                    raise
+            for name, body in (("stdout", text), ("stderr", manifest)):
+                stream = getattr(sys, name)
+                if stream is None:  # its file descriptor was closed
+                    raise OSError(errno.EBADF, f"{name} is closed")
+                stream.write(body)
+                stream.flush()
     except BaseException:
         for path in opened:
             os.remove(path)
         raise
 
 
-def _drop_buffer(stream) -> None:
-    """Point a stream whose write failed at os.devnull, so that the
-    interpreter's flush at exit drops what its buffer still holds instead
-    of failing again and exiting 120 (Python's recipe for SIGPIPE)."""
+def _release(stream) -> None:
+    """Flush a standard stream.  If that fails, point its file descriptor
+    at os.devnull, so that the interpreter's flush at exit drops what the
+    buffer still holds instead of failing again and exiting 120 (Python's
+    recipe for SIGPIPE).  None (fd closed at startup) holds nothing."""
     try:
-        fd = stream.fileno()
+        stream.flush()
     except (AttributeError, OSError, ValueError):
-        return  # a stream without a file descriptor is left as it is
-    devnull = os.open(os.devnull, os.O_WRONLY)
-    os.dup2(devnull, fd)
-    os.close(devnull)
+        try:
+            fd = stream.fileno()
+        except (AttributeError, OSError, ValueError):
+            return  # None, or a stream without a file descriptor
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, fd)
+        os.close(devnull)
 
 
 def _report(message: str) -> None:
-    """Write message to stderr and flush it.  A message that cannot be
-    written is dropped, so that the exit code main returns stands."""
+    """Write message to stderr; main's release flushes it."""
     try:
         sys.stderr.write(message)
-        sys.stderr.flush()
-    except OSError:
-        _drop_buffer(sys.stderr)
+    except (AttributeError, OSError):  # None, or an unwritable file
+        pass
 
 
 def _manifest(args, config_text: str, started: float) -> dict:
     params = {
-        k: v for k, v in sorted(vars(args).items())
-        if k != "func" and not callable(v)
+        k: v for k, v in sorted(vars(args).items()) if not callable(v)
     }
     return {
         "command": args.command,
@@ -209,14 +210,14 @@ def cmd_single(args, reg: Registry) -> tuple[str, tuple]:
     decay = not args.no_decay
     p_surv, p_flip = (
         transition_probability(FlavorState.PARTICLE, final, sp, grid, spec,
-                               args.momentum, decay).tolist()
+                               args.momentum, decay)
         for final in FlavorState)
     # CP is conserved, so the anti-particle columns repeat the particle ones
+    columns = (grid, p_surv, p_flip, p_surv, p_flip, p_surv + p_flip)
     return _csv(
         ["t_s", "p_survive", "p_flip", "p_survive_anti", "p_flip_anti",
          "sum_check"],
-        zip(grid.tolist(), p_surv, p_flip, p_surv, p_flip,
-            [s + f for s, f in zip(p_surv, p_flip)]),
+        zip(*(c.tolist() for c in columns)),
     ), ()
 
 
@@ -359,11 +360,7 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     try:
         args = build_parser().parse_args(argv)
-    except SystemExit:
-        _report("")  # argparse has written its message, or failed to
-        raise
-    started = time.monotonic()
-    try:
+        started = time.monotonic()
         reg, config_text = _load_registry(args)
         text, files = args.func(args, reg)
         _write_run(args, files, text,
@@ -377,6 +374,9 @@ def main(argv=None) -> int:
     except ValueError as exc:
         _report(f"usage error: {exc}\n")
         return EXIT_USAGE
+    finally:  # however the run ends, argparse's exit included
+        for stream in (sys.stdout, sys.stderr):
+            _release(stream)
     return EXIT_OK
 
 

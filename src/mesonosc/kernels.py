@@ -181,8 +181,18 @@ def spatial_zero(r_c: float) -> float:
     """Zero-separation value of the spatial noise correlator, in cm^-3.
 
     F(0) = (sqrt(4 pi) r_C)^-3, the effective noise power seen by a
-    localized particle.
+    localized particle.  Raises OverflowError where it is infinite.
     """
     if r_c <= 0:
         raise KernelError("r_c must be positive")
-    return (4.0 * math.pi) ** -1.5 / r_c**3
+    try:
+        f0 = (4.0 * math.pi) ** -1.5 / r_c**3
+    except ZeroDivisionError:  # r_c**3 underflows to 0
+        f0 = math.inf
+    except OverflowError:
+        # r_c**3 overflows from r_c ~ 5.6e102 cm although F(0), subnormal
+        # or 0, does not; staged only here, so other values stay bitwise
+        f0 = (4.0 * math.pi) ** -1.5 / r_c / r_c / r_c
+    if math.isinf(f0):
+        raise OverflowError(f"F(0) overflows at r_C = {r_c:g} cm")
+    return f0

@@ -86,8 +86,12 @@ def energy_difference(species: MesonSpecies, j: Eigenstate, k: Eigenstate,
 
 def _csl_rate(params: CslParams, species: MesonSpecies, dm: float) -> float:
     """gamma (dm/m0)^2 F(0)/2 for the mass splitting dm; a preset whose
-    rate is not finite raises OverflowError."""
-    rate = params.gamma * (dm / params.m0) ** 2 * spatial_zero(params.r_c) / 2.0
+    F(0) or rate is not finite raises OverflowError."""
+    f0 = spatial_zero(params.r_c)
+    try:
+        rate = params.gamma * (dm / params.m0) ** 2 * f0 / 2.0
+    except OverflowError:  # (dm/m0)**2 is out of range
+        rate = math.inf
     if not math.isfinite(rate):
         raise OverflowError(f"the CSL damping rate of {species.name} overflows")
     return rate

@@ -49,8 +49,8 @@ def separation(t: float, left: GaussianPacket, right: GaussianPacket) -> float:
 
     Raises OverflowError when the relative speed or d is not finite.
     """
-    if t < 0:
-        raise ValueError("negative time")
+    if not 0.0 <= t < math.inf:  # NaN fails the comparison too
+        raise ValueError("times must be finite and >= 0")
     speed = left.speed - right.speed
     if not math.isfinite(speed):
         raise OverflowError("relative packet speed overflows")

@@ -380,30 +380,67 @@ def test_csl_at_vanishing_correlation_time_gives_finite_rows(tmp_path, kernel,
                for cell in row.split(","))
 
 
-@pytest.mark.parametrize("argv, r_c, tau_light_b0", [
-    # gamma F(0) overflows: no inf cells, no NaN rows at t = 0
-    (["rates"], 1e-100, None),
-    (["single", "--model", "csl"], 1e-100, None),
-    (["joint", "--model", "csl"], 1e-100, None),
-    # a finite rate (about 1e288/s) over a width of about 7e-52 MeV
-    (["rates"], 1e-5, 1e30),
-], ids=["rates", "single", "joint", "rates-ratio"])
-def test_csl_preset_that_overflows_is_numeric_failure(tmp_path, argv, r_c,
-                                                      tau_light_b0):
-    # the preset 'huge' and every lifetime are finite and accepted
+def _csl_preset_config(tmp_path, preset, tau_light_b0=None):
+    """A config whose one CSL preset, 'huge', is gamma 1e300 with the
+    adler r_C and m0, then the preset's overrides; B0's light lifetime is
+    tau_light_b0 when given."""
     import mesonosc as m
     species = [sp | {"tau_light_s": tau_light_b0}
                if tau_light_b0 and sp["name"] == "B0" else sp
                for sp in m.DEFAULT_CONFIG["species"]]
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps(m.DEFAULT_CONFIG | {"species": species, "csl": [
-        {"name": "huge", "gamma_cm3_per_s": 1e300, "r_c_cm": r_c,
-         "m0_mev": 9.4e2}]}))
+        {"name": "huge", "gamma_cm3_per_s": 1e300, "r_c_cm": 1e-5,
+         "m0_mev": 9.4e2} | preset]}))
+    return cfg
+
+
+@pytest.mark.parametrize("argv, preset, tau_light_b0, message", [
+    # gamma F(0) overflows: no inf cells, no NaN rows at t = 0
+    (["rates"], {"r_c_cm": 1e-100}, None, "damping rate"),
+    (["single", "--model", "csl"], {"r_c_cm": 1e-100}, None, "damping rate"),
+    (["joint", "--model", "csl"], {"r_c_cm": 1e-100}, None, "damping rate"),
+    # a finite rate (about 1e288/s) over a width of about 7e-52 MeV
+    (["rates"], {}, 1e30, "width"),
+    # r_C**3 underflows to 0, so F(0) overflows
+    (["rates"], {"r_c_cm": 1e-110}, None, "r_C"),
+    (["single", "--model", "csl"], {"r_c_cm": 1e-110}, None, "r_C"),
+    # (dm/m0)**2 overflows
+    (["rates"], {"m0_mev": 1e-300}, None, "damping rate"),
+    (["single", "--model", "csl"], {"m0_mev": 1e-300}, None, "damping rate"),
+], ids=["rates", "single", "joint", "rates-ratio", "rates-r_c-tiny",
+        "single-r_c-tiny", "rates-m0-tiny", "single-m0-tiny"])
+def test_csl_preset_that_overflows_is_numeric_failure(
+        tmp_path, capsys, argv, preset, tau_light_b0, message):
+    # the preset 'huge' and every lifetime are finite and accepted
+    cfg = _csl_preset_config(tmp_path, preset, tau_light_b0)
     out = tmp_path / "out"
     out.mkdir()
     assert cli.main(["--config", str(cfg), "--out", str(out / "x.csv"),
                      *argv, "--csl-preset", "huge"]) == 4
     assert list(out.iterdir()) == []
+    err = capsys.readouterr().err
+    assert err.startswith("numeric failure: ") and message in err, err
+
+
+@pytest.mark.parametrize("argv", [["rates"], ["single", "--model", "csl"]],
+                         ids=["rates", "single"])
+def test_csl_preset_too_wide_has_rate_zero(tmp_path, argv):
+    # r_C**3 overflows at 1e103 cm, but F(0) is about 2e-311 /cm^3, so the
+    # adler gamma gives a rate of exactly 0: no damping at all
+    cfg = _csl_preset_config(tmp_path, {"gamma_cm3_per_s": 1e-22,
+                                        "r_c_cm": 1e103})
+    out = tmp_path / "x.csv"
+    assert cli.main(["--config", str(cfg), "--out", str(out), *argv,
+                     "--csl-preset", "huge"]) == 0
+    if argv == ["rates"]:
+        _, *rows = out.read_text().splitlines()
+        assert [row.split(",")[1:] for row in rows] == [
+            ["0.000000000000e+00"] * 2] * len(rows)
+    else:
+        ref = tmp_path / "none.csv"
+        assert cli.main(["--out", str(ref), "single"]) == 0
+        assert out.read_text() == ref.read_text()
 
 
 @pytest.mark.parametrize("bad", [
@@ -647,6 +684,50 @@ def test_exit_code_stands_when_stderr_fails(tmp_path, argv, code):
     assert proc.stdout == b""
     assert list(tmp_path.iterdir()) == [stderr]
     assert stderr.stat().st_size == 100_000
+
+@pytest.mark.parametrize("argv", [["--help"], ["fit", "--help"]],
+                         ids=["help", "fit-help"])
+def test_help_exits_0_when_stdout_fails(tmp_path, argv):
+    # stdout is a file already at the child's 100 kB limit; argparse drops
+    # the failed write of its help, and the text left in the buffer must not
+    # fail again at interpreter exit (exit 120)
+    stdout = tmp_path / "stdout.txt"
+    stdout.write_bytes(b"x" * 100_000)
+    src = str(Path(cli.__file__).resolve().parents[1])
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+    with stdout.open("ab") as fh:
+        proc = subprocess.run([sys.executable, "-m", "mesonosc.cli", *argv],
+                              cwd=tmp_path, preexec_fn=cap_file_size,
+                              stdout=fh, stderr=subprocess.PIPE, text=True,
+                              timeout=120, env=env | {"PYTHONPATH": src})
+    assert proc.returncode == 0, proc.stderr
+    assert "Exception ignored" not in proc.stderr
+    assert list(tmp_path.iterdir()) == [stdout]
+    assert stdout.stat().st_size == 100_000
+
+
+def close_stdout():
+    """In a child process: run with file descriptor 1 closed (`>&-`)."""
+    os.close(1)
+
+
+@pytest.mark.parametrize("argv", [
+    ["rates"],
+    ["fit", "--zeta-true", "0.2", "--n-events", "300", "--save-events",
+     "ev.csv"],
+], ids=["rates", "fit"])
+def test_closed_stdout_exits_3(tmp_path, argv):
+    # Python starts with sys.stdout None; the data cannot be written, so the
+    # run is a file error and the event file it wrote is removed
+    src = str(Path(cli.__file__).resolve().parents[1])
+    proc = subprocess.run([sys.executable, "-m", "mesonosc.cli", *argv],
+                          cwd=tmp_path, preexec_fn=close_stdout,
+                          stderr=subprocess.PIPE, text=True, timeout=120,
+                          env={**os.environ, "PYTHONPATH": src})
+    assert proc.returncode == 3, proc.stderr
+    assert proc.stderr.startswith("config or file error: ")
+    assert list(tmp_path.iterdir()) == []
+
 
 class _StdoutPastSizeLimit:
     """A buffered stdout whose text cannot reach its file."""

@@ -215,6 +215,14 @@ def test_spatial_zero_identities():
     assert f0 == pytest.approx(alt, rel=1e-14)
     with pytest.raises(KernelError):
         spatial_zero(0.0)
+    # r_c**3 out of range: F(0) staged where it is tiny, an error where
+    # it is infinite
+    wide = 1e103
+    assert spatial_zero(wide) == (4.0 * math.pi) ** -1.5 / wide / wide / wide
+    assert 0.0 < spatial_zero(wide) < 1e-310
+    for r_c in (1e-105, 1e-110):
+        with pytest.raises(OverflowError, match="r_C"):
+            spatial_zero(r_c)
 
 
 def test_non_finite_tau_and_time_raise():

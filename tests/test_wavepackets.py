@@ -70,6 +70,7 @@ def test_separation_that_overflows_raises():
 
 
 def test_validation():
+    from mesonosc.wavepackets import separation
     with pytest.raises(ValueError):
         m.GaussianPacket(0.0, -1.0, 0.0)
     with pytest.raises(ValueError):
@@ -78,8 +79,11 @@ def test_validation():
         with pytest.raises(ValueError):
             m.cross_term_kernel_overlap(1.0, 1.0, r_c)
     p = m.GaussianPacket(0.0, 1.0, 0.0)
-    with pytest.raises(ValueError):
-        m.suppression_ratio(-1.0, p, p, 1.0)
+    for t in (-1.0, math.nan, math.inf):
+        with pytest.raises(ValueError):
+            separation(t, p, p)
+        with pytest.raises(ValueError):
+            m.suppression_ratio(t, p, p, 1.0)
 
 
 def test_packet_rejects_non_finite_fields():
