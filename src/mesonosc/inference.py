@@ -28,6 +28,9 @@ _XTOL = 1e-10
 _MAX_STEPS = 100
 
 _TIME_GRID_POINTS = 400  # candidate decay times of the event generator
+# guide-table buckets of the event generator's cdf lookup; a power of two,
+# so u * _GUIDE_BUCKETS and the bucket edges b / _GUIDE_BUCKETS are exact
+_GUIDE_BUCKETS = 2**11
 
 _HEADER = "t_left_s,t_right_s,flavor_left,flavor_right"
 _COLUMNS = ("t_left", "t_right", "anti_left", "anti_right")
@@ -98,7 +101,8 @@ def generate_events(
     """Draw n synthetic events, deterministic for a fixed seed.
 
     Times are inverse-CDF sampled on `default_time_grid` from the survival
-    envelope (exp(-G_l t/hbar) + exp(-G_h t/hbar))/2; the flavor pair is
+    envelope (exp(-G_l t/hbar) + exp(-G_h t/hbar))/2, by the guide-table
+    lookup of `_cdf_index` (bitwise `np.searchsorted`); the flavor pair is
     then drawn from the conditional four-outcome distribution of the zeta
     model.  Randomness comes from the oracle's Philox block 0 for this
     seed; row i of the (n, 3) uniforms belongs to event i.  The seed is one
@@ -118,8 +122,8 @@ def generate_events(
     cdf /= cdf[-1]
 
     u = _block_rng(seed, 0).random((n, 3))
-    t_l = time_grid[np.searchsorted(cdf, u[:, 0], side="left")]
-    t_r = time_grid[np.searchsorted(cdf, u[:, 1], side="left")]
+    t_l = time_grid[_cdf_index(cdf, u[:, 0])]
+    t_r = time_grid[_cdf_index(cdf, u[:, 1])]
 
     a = _interference_fraction(species, t_l, t_r)
     p_like_each = 0.25 * (1.0 - a * (1.0 - zeta_true))     # PP and AA
@@ -134,6 +138,31 @@ def generate_events(
         + (u[:, 2] >= cum3).astype(int)
     )
     return EventTable(t_l, t_r, idx >= 2, idx % 2 == 1)
+
+
+def _cdf_index(cdf: np.ndarray, u: np.ndarray) -> np.ndarray:
+    """`np.searchsorted(cdf, u, side="left")` by a guide table (Chen and
+    Asau, AIIE Trans. 6(2), 163, 1974; Devroye, Non-Uniform Random Variate
+    Generation, 1986, ch. III), for a non-decreasing cdf whose last value
+    is 1.0 and u in [0, 1).
+
+    With M = _GUIDE_BUCKETS, b = floor(u M) is exact and b/M <= u <
+    (b + 1)/M, so the answer, the count of cdf values below u, lies in
+    [guide[b], guide[b + 1]] with guide the counts below each edge b/M.
+    Where the bucket holds at most one cdf value that answer is guide[b]
+    plus one if cdf[guide[b]] < u.  Draws in a bucket holding more (a
+    crowded bucket) go to `np.searchsorted` itself.
+    """
+    guide = np.searchsorted(
+        cdf, np.arange(_GUIDE_BUCKETS + 1) / _GUIDE_BUCKETS, side="left")
+    b = (u * _GUIDE_BUCKETS).astype(np.intp)
+    index = guide[b]
+    index += cdf[index] < u
+    crowded = np.diff(guide) > 1
+    if crowded.any():
+        hit = crowded[b]
+        index[hit] = np.searchsorted(cdf, u[hit], side="left")
+    return index
 
 
 def _newton_root(fun, neg: float, pos: float, x: float) -> tuple[float, bool]:

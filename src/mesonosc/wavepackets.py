@@ -16,7 +16,13 @@ strengthens the suppression at these scales.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
+
+# the range of s2 = r_C^2 + sigma^2 in which the overlap is evaluated
+# unscaled: a normal float whose 4 s2 is finite
+_S2_MIN = sys.float_info.min
+_S2_MAX = sys.float_info.max / 4.0
 
 
 @dataclass(frozen=True)
@@ -32,16 +38,29 @@ class GaussianPacket:
             raise ValueError("sigma must be positive")
 
 
+def _overlap_factors(d: float, sigma: float, r_c: float) -> tuple[float, float]:
+    """The overlap's prefactor r_C/sqrt(s2) and separation factor
+    exp(-d^2/(4 s2)), s2 = r_C^2 + sigma^2.  Where s2 or 4 s2 is not a
+    finite normal float, d, sigma and r_C are first divided by
+    max(r_C, sigma), which leaves both factors unchanged."""
+    if not (0 < sigma < math.inf and 0 < r_c < math.inf):
+        raise ValueError("sigma and r_c must be finite and positive")
+    if d < 0:
+        raise ValueError("separation must be >= 0")
+    s2 = r_c * r_c + sigma * sigma
+    if not _S2_MIN <= s2 <= _S2_MAX:
+        scale = max(r_c, sigma)
+        d, sigma, r_c = d / scale, sigma / scale, r_c / scale
+        s2 = r_c * r_c + sigma * sigma
+    return r_c / math.sqrt(s2), math.exp(-d * d / (4.0 * s2))
+
+
 def cross_term_kernel_overlap(d: float, sigma: float, r_c: float) -> float:
     """Overlap of two packet densities through the spatial noise correlator,
     along the axis of their separation d.  The transverse factors equal
     this at d = 0 and cancel in `suppression_ratio`."""
-    if not (sigma > 0 and 0 < r_c < math.inf):
-        raise ValueError("sigma must be positive and r_c finite and positive")
-    if d < 0:
-        raise ValueError("separation must be >= 0")
-    s2 = r_c * r_c + sigma * sigma
-    return r_c / math.sqrt(s2) * math.exp(-d * d / (4.0 * s2))
+    prefactor, factor = _overlap_factors(d, sigma, r_c)
+    return prefactor * factor
 
 
 def separation(t: float, left: GaussianPacket, right: GaussianPacket) -> float:
@@ -70,8 +89,8 @@ def suppression_ratio(
     separation factor, so the mean width is used.
     """
     d = separation(t, left, right)
-    sigma = 0.5 * (left.sigma + right.sigma)
-    return (
-        cross_term_kernel_overlap(d, sigma, r_c)
-        / cross_term_kernel_overlap(0.0, sigma, r_c)
-    )
+    sigma = left.sigma + 0.5 * (right.sigma - left.sigma)  # cannot overflow
+    prefactor, factor = _overlap_factors(d, sigma, r_c)
+    if prefactor < sys.float_info.min:  # it underflows, and it cancels
+        return factor
+    return prefactor * factor / prefactor

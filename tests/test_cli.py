@@ -4,9 +4,12 @@ import math
 import os
 import subprocess
 import sys
+import tempfile
 from pathlib import Path
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from mesonosc import cli
 
@@ -110,6 +113,44 @@ def test_overlap_monotone(tmp_path):
     ratios = [float(r[2]) for r in rows]
     assert ratios[0] == pytest.approx(1.0)
     assert all(a >= b for a, b in zip(ratios, ratios[1:]))
+
+
+# packet widths and correlation lengths: ordinary ones, and any magnitude
+# from 1e-300 to 1e300 cm
+LENGTHS = st.one_of(
+    st.floats(1e-8, 1e2),
+    st.builds(lambda mantissa, exponent: mantissa * 10.0**exponent,
+              st.floats(1.0, 9.99), st.integers(-300, 299)),
+)
+
+
+@settings(max_examples=120, deadline=None, derandomize=True)
+@given(sigma=LENGTHS, r_c=LENGTHS,
+       start=st.sampled_from([0.0, 1e-15]), stop=st.floats(0.0, 1e3),
+       n=st.integers(1, 6))
+# s2 = r_C^2 + sigma^2 overflows, or underflows to 0
+@example(sigma=1e-5, r_c=1e200, start=0.0, stop=1e-12, n=5)
+@example(sigma=1e300, r_c=1e-5, start=0.0, stop=1e-12, n=5)
+@example(sigma=1e-170, r_c=1e-170, start=0.0, stop=1e-12, n=5)
+# r_C/sigma underflows, so the overlap at d = 0 is 0.0
+@example(sigma=1e299, r_c=1e-300, start=0.0, stop=1e-12, n=5)
+def test_overlap_rows_are_finite_ratios_at_any_length(sigma, r_c, start,
+                                                       stop, n):
+    argv = ["overlap", "--sigma", repr(sigma), "--r-c", repr(r_c),
+            "--t-grid", f"{start!r}:{stop!r}:{n}"]
+    with tempfile.TemporaryDirectory() as tmp:
+        texts = []
+        for name in ("a.csv", "b.csv"):
+            out = Path(tmp) / name
+            assert cli.main(["--out", str(out), *argv]) == 0
+            texts.append(out.read_bytes())
+    assert texts[0] == texts[1]
+    rows = [[float(x) for x in line.split(",")]
+            for line in texts[0].decode().splitlines()[1:]]
+    assert len(rows) == n
+    assert all(math.isfinite(x) for row in rows for x in row)
+    assert all(0.0 <= ratio <= 1.0 for _, _, ratio in rows)
+    assert all(ratio == 1.0 for t, _, ratio in rows if t == 0.0)
 
 
 def test_diag_reports_discrepancies(tmp_path):

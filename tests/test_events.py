@@ -34,6 +34,59 @@ def test_generated_event_file_bytes_are_pinned(name):
     assert hashlib.sha256(text.encode()).hexdigest() == GOLDEN_SHA256[name]
 
 
+BUCKETS = inference._GUIDE_BUCKETS
+
+# cdf values on a bucket edge b/M, anywhere in [0, 1], or next to 0 or 1
+CDF_VALUES = st.one_of(
+    st.integers(0, BUCKETS).map(lambda b: b / BUCKETS),
+    st.floats(0.0, 1.0),
+    st.sampled_from([5e-324, 1.0 - 2**-53]),
+)
+# several values in one bucket make it crowded
+CROWDS = st.integers(0, BUCKETS - 1).flatmap(lambda b: st.lists(
+    st.floats(b / BUCKETS, (b + 1) / BUCKETS), min_size=2, max_size=6))
+WEIGHTS = st.one_of(st.sampled_from([0.0, 5e-324, 1.0]),
+                    st.floats(0.0, 1e300))
+
+
+@st.composite
+def cdfs(draw):
+    """A non-decreasing cdf whose last value is 1.0: sorted values, or the
+    normalized cumulative sum of weights that hold zeros and repeats and
+    then decay until they underflow to 0, so the cdf repeats 1.0."""
+    if draw(st.booleans()):
+        values = draw(st.lists(CDF_VALUES, max_size=40))
+        for crowd in draw(st.lists(CROWDS, max_size=3)):
+            values += crowd
+        return np.array(sorted(values) + [1.0])
+    decay = np.exp(-draw(st.floats(0.0, 2000.0))
+                   * np.linspace(0.0, 1.0, draw(st.integers(1, 400))))
+    cdf = np.cumsum(np.concatenate([draw(st.lists(WEIGHTS, max_size=20)),
+                                    decay]))
+    return cdf / cdf[-1]
+
+
+def probes(cdf: np.ndarray) -> np.ndarray:
+    """Every bucket edge and every cdf value with its 1-ulp neighbours,
+    and uniform draws, all in [0, 1)."""
+    points = np.concatenate([np.arange(BUCKETS) / BUCKETS, cdf])
+    u = np.concatenate([points, np.nextafter(points, 0.0),
+                        np.nextafter(points, 1.0),
+                        np.random.default_rng(0).random(2000)])
+    return u[u < 1.0]
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(cdfs())
+@example(np.array([0.5, 0.5, 1.0]))  # a repeated value on a bucket edge
+@example(np.array([0.1, 0.1 + 1e-9, 0.1 + 2e-9, 1.0]))  # a crowded bucket
+@example(np.array([0.0, 0.0, 1.0, 1.0, 1.0]))  # zero weights, a flat tail
+def test_guide_lookup_equals_searchsorted(cdf):
+    u = probes(cdf)
+    assert np.array_equal(inference._cdf_index(cdf, u),
+                          np.searchsorted(cdf, u, side="left"))
+
+
 def row_writer(t_left, t_right, anti_left, anti_right) -> str:
     """The row-at-a-time writer that the table replaced."""
     code = {False: "P", True: "A"}

@@ -51,6 +51,31 @@ def test_suppression_monotone_for_diverging_packets():
     assert all(a >= b for a, b in zip(ratios, ratios[1:]))
 
 
+@pytest.mark.parametrize("sigma, r_c", [
+    (1e-5, 1e200), (1e300, 1e-5), (1e-170, 1e-170), (1e299, 1e-300),
+    (1e-170, 1.3e154), (1e-4, 1e-5),
+])
+def test_overlap_at_the_edges_of_the_float_range(sigma, r_c):
+    # r_C^2 + sigma^2 overflows, underflows, or quadruples past the largest
+    # float; math.hypot scales by itself
+    h = math.hypot(r_c, sigma)
+    for d in (0.0, 0.5 * h, 3.0 * h):
+        assert m.cross_term_kernel_overlap(d, sigma, r_c) == pytest.approx(
+            r_c / h * math.exp(-(d / h) ** 2 / 4.0), rel=1e-14)
+    left = m.GaussianPacket(0.0, sigma, -1.0)
+    right = m.GaussianPacket(0.0, sigma, 1.0)
+    assert m.suppression_ratio(0.0, left, right, r_c) == 1.0
+    # d = 2t = 2h
+    assert m.suppression_ratio(h, left, right, r_c) == pytest.approx(
+        math.exp(-1.0), rel=1e-14)
+
+
+def test_mean_width_near_the_largest_float_does_not_overflow():
+    p = m.GaussianPacket(0.0, 1.5e308, 0.0)
+    q = m.GaussianPacket(0.0, 1.7e308, 0.0)
+    assert m.suppression_ratio(1.0, p, q, 1.0) == 1.0
+
+
 def test_coincident_identical_packets_have_unit_ratio():
     p = m.GaussianPacket(0.0, 1e-4, 0.0)
     assert m.suppression_ratio(5e-10, p, p, 1e-5) == 1.0
@@ -75,9 +100,11 @@ def test_validation():
         m.GaussianPacket(0.0, -1.0, 0.0)
     with pytest.raises(ValueError):
         m.cross_term_kernel_overlap(-1.0, 1.0, 1.0)
-    for r_c in (math.nan, math.inf, 0.0):
+    for bad in (math.nan, math.inf, 0.0):
         with pytest.raises(ValueError):
-            m.cross_term_kernel_overlap(1.0, 1.0, r_c)
+            m.cross_term_kernel_overlap(1.0, 1.0, bad)
+        with pytest.raises(ValueError):
+            m.cross_term_kernel_overlap(1.0, bad, 1.0)
     p = m.GaussianPacket(0.0, 1.0, 0.0)
     for t in (-1.0, math.nan, math.inf):
         with pytest.raises(ValueError):

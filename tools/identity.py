@@ -3,9 +3,12 @@ them byte-identical.
 
 Each workload round of `perfbench/workloads.py` (grid, oracle, fit) is
 built at seeds 1, 2, 3 and 8128 and run once through `mesonosc.cli.main`
-in a temporary directory, warm-up calls left out.  The result is one JSON
-object mapping "<workload>/<seed>/<file>" to the sha256 of every data
-file, event file and fit JSON; manifests carry timings and are left out.
+in a temporary directory, warm-up calls left out.  The fit workload
+generates K0 and Bs events only, so at each seed one `fit --zeta-true 0.27
+--n-events 20000 --save-events` call per species (K0, B0, Bs, D0) is run
+as well.  The result is one JSON object mapping "<workload>/<seed>/<file>"
+(workload "species" for those calls) to the sha256 of every data file,
+event file and fit JSON; manifests carry timings and are left out.
 
     PYTHONPATH=src python tools/identity.py --out new.json
     PYTHONPATH=src python tools/identity.py --out new.json --against old.json
@@ -37,21 +40,38 @@ from mesonosc import cli  # noqa: E402
 import workloads  # noqa: E402
 
 SEEDS = (1, 2, 3, 8128)
+SPECIES = ("K0", "B0", "Bs", "D0")
+
+
+def species_calls(seed: int, tmp: str) -> list[tuple[list[str], tuple]]:
+    """One generate-and-save fit per species: its argv and output paths."""
+    calls = []
+    for name in SPECIES:
+        out = os.path.join(tmp, f"{name}_fit.json")
+        events = os.path.join(tmp, f"{name}_events.csv")
+        calls.append((["--seed", str(seed), "--out", out, "fit", "--species",
+                       name, "--zeta-true", "0.27", "--n-events", "20000",
+                       "--save-events", events], (out, events)))
+    return calls
 
 
 def hash_outputs() -> dict[str, str]:
     hashes = {}
-    for workload in workloads.WORKLOADS:
+    for workload in (*workloads.WORKLOADS, "species"):
         for seed in SEEDS:
             with tempfile.TemporaryDirectory() as tmp:
-                _, calls = workloads.build(workload, seed, tmp,
-                                           mesonosc.DEFAULT_CONFIG)
-                for call in calls:
-                    rc = cli.main(call.argv)
+                if workload == "species":
+                    calls = species_calls(seed, tmp)
+                else:
+                    _, built = workloads.build(workload, seed, tmp,
+                                               mesonosc.DEFAULT_CONFIG)
+                    calls = [(c.argv, (c.out, *c.extra_files)) for c in built]
+                for argv, paths in calls:
+                    rc = cli.main(argv)
                     if rc != 0:
                         sys.exit(f"{workload} seed {seed}: exit {rc} from "
-                                 f"{' '.join(call.argv)}")
-                    for path in (call.out, *call.extra_files):
+                                 f"{' '.join(argv)}")
+                    for path in paths:
                         with open(path, "rb") as fh:
                             digest = hashlib.sha256(fh.read()).hexdigest()
                         name = os.path.relpath(path, tmp)
